@@ -60,9 +60,6 @@
 #include "core/routing_directory.h"
 #include "core/sharded_filter.h"
 #include "eval/metrics.h"
-#include "net/client.h"
-#include "net/loadgen.h"
-#include "net/server.h"
 #include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -249,7 +246,7 @@ DynamicWorkloadReport MeasureDynamicWorkload(const Dataset& data,
   // --- sustained mixed workload across compactions -------------------------
   // Rounds of (mutate_rate * batch) mutations + batched queries, with one
   // dirty-shard compaction per round running on a background thread while
-  // the queries keep flowing — the serve-sim loop, measured.
+  // the queries keep flowing.
   constexpr size_t kBatch = 1024;
   constexpr size_t kRounds = 3;
   std::vector<std::string_view> views(positives.begin(), positives.end());
@@ -456,226 +453,6 @@ WalDurabilityReport MeasureWalDurability(const Dataset& data, const Args& args,
   return report;
 }
 
-/// End-to-end serving latency (DESIGN.md §11): an in-process net::Server
-/// over a FilterStore snapshot, driven by the closed-loop net::RunLoadgen
-/// across the loopback — the full wire cost (framing, CRC, coalescing, one
-/// snapshot pin per batch) on top of the raw ContainsBatch numbers above.
-struct ServerLatencyReport {
-  bool measured = false;
-  size_t member_keys = 0;
-  size_t connections = 0;
-  size_t keys_per_request = 0;
-  size_t window = 0;
-  uint64_t requests = 0;
-  uint64_t keys_queried = 0;
-  uint64_t false_negatives = 0;
-  double rps = 0.0;
-  double mean_ns = 0.0;
-  uint64_t p50_ns = 0;
-  uint64_t p90_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p999_ns = 0;
-  uint64_t max_ns = 0;
-};
-
-ServerLatencyReport MeasureServerLatency(const Args& args,
-                                         size_t effective_threads) {
-  ServerLatencyReport report;
-  // Preload WorkloadStreamKey members — the same deterministic stream the
-  // loadgen draws from, so every query hits a member and a 0 answer is a
-  // wire-level false negative (checked FATAL by the caller).
-  report.member_keys = std::min<size_t>(args.keys, 200000);
-  constexpr uint64_t kSeed = 42;
-  std::vector<std::string> members;
-  members.reserve(report.member_keys);
-  for (uint64_t i = 0; i < report.member_keys; ++i) {
-    members.push_back(WorkloadStreamKey(kSeed, i));
-  }
-  HabfOptions options;
-  options.total_bits = report.member_keys * 10;
-  ShardedBuildOptions sharding;
-  sharding.num_shards = args.shards;
-  sharding.num_threads = effective_threads;
-  FilterStore<ShardedFilter<Habf>> store(
-      BuildShardedHabf(members, {}, options, sharding));
-  net::StoreBackend<ShardedFilter<Habf>> backend(&store);
-  net::Server server(&backend, net::ServerOptions{});
-  std::string error;
-  if (!server.Start(&error)) return report;
-
-  net::LoadgenOptions load;
-  load.port = server.port();
-  load.connections = 4;
-  load.keys_per_request = 32;
-  load.max_in_flight = 8;
-  load.duration = std::chrono::milliseconds(1000);
-  load.key_seed = kSeed;
-  load.key_space = report.member_keys;
-  load.expect_members = report.member_keys;
-  net::LoadgenReport result;
-  const bool ok = net::RunLoadgen(load, &result, &error);
-  server.Shutdown();
-  if (!ok) return report;
-
-  report.measured = true;
-  report.connections = load.connections;
-  report.keys_per_request = load.keys_per_request;
-  report.window = load.max_in_flight;
-  report.requests = result.responses_received;
-  report.keys_queried = result.keys_queried;
-  report.false_negatives = result.false_negatives;
-  report.rps = result.achieved_rps;
-  report.mean_ns = result.latency_ns.Mean();
-  report.p50_ns = result.latency_ns.ValueAtPercentile(50);
-  report.p90_ns = result.latency_ns.ValueAtPercentile(90);
-  report.p99_ns = result.latency_ns.ValueAtPercentile(99);
-  report.p999_ns = result.latency_ns.ValueAtPercentile(99.9);
-  report.max_ns = result.latency_ns.max();
-  return report;
-}
-
-/// Backpressure governance under a deliberately slow consumer (DESIGN.md
-/// §11): phase A parks a tiny-receive-window client behind a pipeline of
-/// stats requests (~20x response amplification) and verifies the unsent
-/// output tail stays bounded by the hard cap while the watermarks pause and
-/// resume reads; phase B shrinks the cap so the same abuse must evict. The
-/// caller treats an unbounded buffer or a missing eviction as FATAL — this
-/// section is a guardrail, not just a measurement.
-struct ServerBackpressureReport {
-  bool measured = false;
-  size_t slow_frames = 0;          // phase A pipelined stats requests
-  uint64_t responses_drained = 0;  // phase A responses read back
-  uint64_t pauses = 0;
-  uint64_t resumes = 0;
-  uint64_t peak_unsent_bytes = 0;
-  size_t hard_cap_bytes = 0;    // phase A cap the peak is judged against
-  bool bounded = false;         // peak <= cap + one read budget of slack
-  size_t evict_frames = 0;      // phase B pipelined stats requests
-  uint64_t evictions_overflow = 0;  // phase B: must be exactly 1
-};
-
-/// One named counter over a throwaway stats connection.
-bool FetchServerStat(uint16_t port, std::string_view name, uint64_t* value) {
-  net::BlockingClient client;
-  std::string error;
-  if (!client.Connect("127.0.0.1", port, &error)) return false;
-  std::vector<std::pair<std::string, uint64_t>> entries;
-  if (!client.GetStats(&entries, &error)) return false;
-  for (const auto& entry : entries) {
-    if (entry.first == name) {
-      *value = entry.second;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool PollServerStatAtLeast(uint16_t port, std::string_view name,
-                           uint64_t target, uint64_t* value) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  for (;;) {
-    if (FetchServerStat(port, name, value) && *value >= target) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-}
-
-ServerBackpressureReport MeasureServerBackpressure() {
-  ServerBackpressureReport report;
-  // A single preloaded key is enough: the slow consumer pipelines kOpStats
-  // frames, whose fixed ~570-byte responses amplify a 17-byte request ~20x
-  // — the cheapest way for a client to grow the server's output tail.
-  std::vector<std::string> members = {WorkloadStreamKey(42, 0)};
-  HabfOptions options;
-  options.total_bits = 1 << 12;
-  FilterStore<ShardedFilter<Habf>> store(
-      BuildShardedHabf(members, {}, options, ShardedBuildOptions{}));
-  net::StoreBackend<ShardedFilter<Habf>> backend(&store);
-
-  const auto stats_frames = [](uint64_t first_id, size_t count) {
-    std::string bytes;
-    for (size_t i = 0; i < count; ++i) {
-      net::AppendFrame(&bytes, first_id + i, net::kOpStats,
-                       std::string_view());
-    }
-    return bytes;
-  };
-
-  // --- phase A: bounded buffering + pause/resume under a slow consumer ---
-  {
-    net::ServerOptions server_options;
-    server_options.num_workers = 1;
-    server_options.so_sndbuf_bytes = 4096;  // kernel can't hide the backlog
-    server_options.out_high_watermark = 32 * 1024;
-    server_options.out_low_watermark = 8 * 1024;
-    server_options.out_hard_cap = 256 * 1024;
-    server_options.read_budget_bytes = 4096;
-    report.hard_cap_bytes = server_options.out_hard_cap;
-    net::Server server(&backend, server_options);
-    std::string error;
-    if (!server.Start(&error)) return report;
-
-    net::BlockingClient slow;
-    slow.set_recv_buffer_bytes(4096);
-    if (!slow.Connect("127.0.0.1", server.port(), &error)) return report;
-    report.slow_frames = 2000;  // ~1.1MB of responses vs a 256KB cap
-    if (!slow.RawSend(stats_frames(1, report.slow_frames), &error)) {
-      return report;
-    }
-    uint64_t pauses = 0;
-    if (!PollServerStatAtLeast(server.port(), "backpressure_pauses", 1,
-                               &pauses)) {
-      return report;
-    }
-    // Drain everything: the pause must resume and every response arrive.
-    for (size_t i = 0; i < report.slow_frames; ++i) {
-      net::OwnedFrame frame;
-      if (!slow.ReadFrame(&frame, &error)) break;
-      if (frame.op != net::kOpStatsResponse) break;
-      ++report.responses_drained;
-    }
-    FetchServerStat(server.port(), "backpressure_pauses", &report.pauses);
-    FetchServerStat(server.port(), "backpressure_resumes", &report.resumes);
-    FetchServerStat(server.port(), "out_buffer_peak_bytes",
-                    &report.peak_unsent_bytes);
-    server.Shutdown();
-    // Bounded: the peak may overshoot the watermark by what one read
-    // budget's worth of requests amplifies to, never past the hard cap.
-    report.bounded =
-        report.responses_drained == report.slow_frames &&
-        report.resumes >= 1 &&
-        report.peak_unsent_bytes <= report.hard_cap_bytes + 64 * 1024;
-  }
-
-  // --- phase B: the hard cap evicts what the watermarks cannot absorb ----
-  {
-    net::ServerOptions server_options;
-    server_options.num_workers = 1;
-    server_options.so_sndbuf_bytes = 4096;
-    server_options.out_high_watermark = 32 * 1024;
-    server_options.out_low_watermark = 1024;
-    server_options.out_hard_cap = 32 * 1024;  // == high: cap wins the race
-    net::Server server(&backend, server_options);
-    std::string error;
-    if (!server.Start(&error)) return report;
-
-    net::BlockingClient hostile;
-    hostile.set_recv_buffer_bytes(4096);
-    if (!hostile.Connect("127.0.0.1", server.port(), &error)) return report;
-    report.evict_frames = 500;  // ~290KB of responses vs a 32KB cap
-    if (!hostile.RawSend(stats_frames(1, report.evict_frames), &error)) {
-      return report;
-    }
-    PollServerStatAtLeast(server.port(), "evictions_output_overflow", 1,
-                          &report.evictions_overflow);
-    server.Shutdown();
-  }
-
-  report.measured = true;
-  return report;
-}
-
 /// Partition-memory comparison of the zero-copy sharded build against the
 /// old copying partition: exact logical byte counts plus per-build peak-RSS
 /// deltas measured in forked children.
@@ -729,9 +506,7 @@ void PrintResults(const std::vector<Result>& results, const Args& args,
                   const MemoryReport& memory, const OverlapReport& overlap,
                   const RoutingBalanceReport& routing,
                   const DynamicWorkloadReport& dynamic,
-                  const WalDurabilityReport& wal,
-                  const ServerLatencyReport& serve,
-                  const ServerBackpressureReport& backpressure) {
+                  const WalDurabilityReport& wal) {
   if (args.json) {
     std::printf("{\n  \"context\": {\"keys\": %zu, \"shards\": %zu, "
                 "\"threads\": %zu, \"repeats\": %d},\n  \"benchmarks\": [\n",
@@ -824,7 +599,7 @@ void PrintResults(const std::vector<Result>& results, const Args& args,
         "    \"group_commit_appends_per_second\": %.1f,\n"
         "    \"recovery_base_keys\": %zu,\n"
         "    \"recovery_wal_records\": %zu,\n"
-        "    \"recovery_open_ns\": %llu\n  },\n",
+        "    \"recovery_open_ns\": %llu\n  }\n}\n",
         wal.measured ? "true" : "false", wal.appends,
         static_cast<unsigned long long>(wal.fsync_append_ns),
         static_cast<double>(wal.fsync_append_ns) /
@@ -837,53 +612,6 @@ void PrintResults(const std::vector<Result>& results, const Args& args,
         wal.group_appends_per_second, wal.recovery_base_keys,
         wal.recovery_wal_records,
         static_cast<unsigned long long>(wal.recovery_open_ns));
-    std::printf(
-        "  \"server_latency\": {\n"
-        "    \"measured\": %s,\n"
-        "    \"member_keys\": %zu,\n"
-        "    \"connections\": %zu,\n"
-        "    \"keys_per_request\": %zu,\n"
-        "    \"closed_loop_window\": %zu,\n"
-        "    \"requests\": %llu,\n"
-        "    \"keys_queried\": %llu,\n"
-        "    \"false_negatives\": %llu,\n"
-        "    \"requests_per_second\": %.1f,\n"
-        "    \"latency_mean_ns\": %.1f,\n"
-        "    \"latency_p50_ns\": %llu,\n"
-        "    \"latency_p90_ns\": %llu,\n"
-        "    \"latency_p99_ns\": %llu,\n"
-        "    \"latency_p999_ns\": %llu,\n"
-        "    \"latency_max_ns\": %llu\n  },\n",
-        serve.measured ? "true" : "false", serve.member_keys,
-        serve.connections, serve.keys_per_request, serve.window,
-        static_cast<unsigned long long>(serve.requests),
-        static_cast<unsigned long long>(serve.keys_queried),
-        static_cast<unsigned long long>(serve.false_negatives), serve.rps,
-        serve.mean_ns, static_cast<unsigned long long>(serve.p50_ns),
-        static_cast<unsigned long long>(serve.p90_ns),
-        static_cast<unsigned long long>(serve.p99_ns),
-        static_cast<unsigned long long>(serve.p999_ns),
-        static_cast<unsigned long long>(serve.max_ns));
-    std::printf(
-        "  \"server_backpressure\": {\n"
-        "    \"measured\": %s,\n"
-        "    \"slow_consumer_frames\": %zu,\n"
-        "    \"responses_drained\": %llu,\n"
-        "    \"backpressure_pauses\": %llu,\n"
-        "    \"backpressure_resumes\": %llu,\n"
-        "    \"out_buffer_peak_bytes\": %llu,\n"
-        "    \"out_hard_cap_bytes\": %zu,\n"
-        "    \"memory_bounded\": %s,\n"
-        "    \"eviction_frames\": %zu,\n"
-        "    \"evictions_output_overflow\": %llu\n  }\n}\n",
-        backpressure.measured ? "true" : "false", backpressure.slow_frames,
-        static_cast<unsigned long long>(backpressure.responses_drained),
-        static_cast<unsigned long long>(backpressure.pauses),
-        static_cast<unsigned long long>(backpressure.resumes),
-        static_cast<unsigned long long>(backpressure.peak_unsent_bytes),
-        backpressure.hard_cap_bytes,
-        backpressure.bounded ? "true" : "false", backpressure.evict_frames,
-        static_cast<unsigned long long>(backpressure.evictions_overflow));
     return;
   }
   std::printf("keys=%zu shards=%zu threads=%zu repeats=%d\n", args.keys,
@@ -955,39 +683,6 @@ void PrintResults(const std::vector<Result>& results, const Args& args,
         "in %.1f ms (snapshot parse + replay + collapsing checkpoint)\n",
         wal.recovery_base_keys, wal.recovery_wal_records,
         static_cast<double>(wal.recovery_open_ns) / 1e6);
-  }
-  if (!serve.measured) {
-    std::printf("server latency: not measured (loopback server unavailable)\n");
-    return;
-  }
-  std::printf(
-      "server latency: %zu conns x window %zu, %zu keys/request over "
-      "loopback: %.0f req/s, %llu false negatives; mean %.1f us, p50 %.1f "
-      "us, p90 %.1f us, p99 %.1f us, p99.9 %.1f us, max %.1f us\n",
-      serve.connections, serve.window, serve.keys_per_request, serve.rps,
-      static_cast<unsigned long long>(serve.false_negatives),
-      serve.mean_ns / 1e3, static_cast<double>(serve.p50_ns) / 1e3,
-      static_cast<double>(serve.p90_ns) / 1e3,
-      static_cast<double>(serve.p99_ns) / 1e3,
-      static_cast<double>(serve.p999_ns) / 1e3,
-      static_cast<double>(serve.max_ns) / 1e3);
-  if (backpressure.measured) {
-    std::printf(
-        "server backpressure: slow consumer pipelined %zu stats requests: "
-        "peak unsent %.1f KiB (cap %.1f KiB, bounded=%s), %llu pauses / "
-        "%llu resumes, %llu/%zu responses drained; hard-cap abuse evicted "
-        "%llu connection(s)\n",
-        backpressure.slow_frames, backpressure.peak_unsent_bytes / 1024.0,
-        backpressure.hard_cap_bytes / 1024.0,
-        backpressure.bounded ? "yes" : "NO",
-        static_cast<unsigned long long>(backpressure.pauses),
-        static_cast<unsigned long long>(backpressure.resumes),
-        static_cast<unsigned long long>(backpressure.responses_drained),
-        backpressure.slow_frames,
-        static_cast<unsigned long long>(backpressure.evictions_overflow));
-  } else {
-    std::printf(
-        "server backpressure: not measured (loopback server unavailable)\n");
   }
 }
 
@@ -1267,44 +962,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- serving: closed-loop wire latency against an in-process server ----
-  const ServerLatencyReport server_latency =
-      MeasureServerLatency(args, effective_threads);
-  if (server_latency.measured && server_latency.false_negatives != 0) {
-    std::fprintf(stderr,
-                 "FATAL: wire query returned 0 for a preloaded member "
-                 "(one-sidedness violated across the protocol)\n");
-    return 1;
-  }
-
-  // --- serving: backpressure governance under a slow/hostile consumer ----
-  const ServerBackpressureReport server_backpressure =
-      MeasureServerBackpressure();
-  if (server_backpressure.measured && !server_backpressure.bounded) {
-    std::fprintf(stderr,
-                 "FATAL: slow consumer grew the unsent output tail past the "
-                 "hard cap (peak %llu bytes, cap %zu) or lost responses "
-                 "(%llu/%zu drained) — per-connection memory is unbounded\n",
-                 static_cast<unsigned long long>(
-                     server_backpressure.peak_unsent_bytes),
-                 server_backpressure.hard_cap_bytes,
-                 static_cast<unsigned long long>(
-                     server_backpressure.responses_drained),
-                 server_backpressure.slow_frames);
-    return 1;
-  }
-  if (server_backpressure.measured &&
-      server_backpressure.evictions_overflow != 1) {
-    std::fprintf(stderr,
-                 "FATAL: hard-cap overrun did not evict exactly one "
-                 "connection (saw %llu)\n",
-                 static_cast<unsigned long long>(
-                     server_backpressure.evictions_overflow));
-    return 1;
-  }
-
   PrintResults(results, args, effective_threads, speedup, memory, overlap,
-               routing, dynamic_workload, wal_durability, server_latency,
-               server_backpressure);
+               routing, dynamic_workload, wal_durability);
   return 0;
 }

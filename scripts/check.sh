@@ -7,9 +7,9 @@
 #   (-DHABF_SANITIZE=ON), which races/overflow-checks the concurrent
 #   sharded build and pooled query fan-out paths.
 #   --tsan builds into build-tsan/ with ThreadSanitizer (-DHABF_TSAN=ON)
-#   and runs the concurrency suites (thread pool, sharded build/query,
-#   async build handles, FilterStore hot swaps, concurrent readers) under
-#   it. The two sanitizers are mutually exclusive per build tree.
+#   and runs the concurrency suites (ctest labels `tsan` and
+#   `static_analysis`) under it. The two sanitizers are mutually exclusive
+#   per build tree.
 #   --thread-safety builds into build-clang/ with clang++ and
 #   -DHABF_THREAD_SAFETY=ON (-Werror on -Wthread-safety[-beta]), then runs
 #   the `static_analysis` ctest label (wrapper runtime suite + the
@@ -123,27 +123,11 @@ fi
 if [ "${mode}" = "tsan" ]; then
   # TSan is ~5-20x slower, so this tree runs the suites that exercise the
   # concurrency surface instead of the full matrix (the default and ASan
-  # trees cover the rest). second_deadlock_stack gives usable reports for
-  # lock-order findings.
+  # trees cover the rest): the `tsan` and `static_analysis` ctest labels,
+  # assigned per test binary in CMakeLists.txt. second_deadlock_stack gives
+  # usable reports for lock-order findings.
   TSAN_OPTIONS="second_deadlock_stack=1" ctest --output-on-failure \
-    -j "$(nproc)" \
-    -R 'ThreadPool|ShardedFilter|AsyncBuild|FilterStore|ConcurrentQuery|CliTest|DynamicFilter|AnnotatedSync|DeltaWal|CrashRecovery|Server|Protocol'
-  # The skew-aware routing suite (two-choice directory, routing-mode
-  # differentials, SHR2/SHRD snapshot fuzz) runs under TSan too: the
-  # two-choice build shares the parallel shard pipeline.
-  TSAN_OPTIONS="second_deadlock_stack=1" ctest --output-on-failure \
-    -j "$(nproc)" -L skew
-  # The dynamic (mutable-path) suite is the richest concurrency surface in
-  # the repo: delta-tier readers racing dirty-shard compactions across the
-  # FilterStore hot swap. Run the whole label under TSan.
-  TSAN_OPTIONS="second_deadlock_stack=1" ctest --output-on-failure \
-    -j "$(nproc)" -L dynamic
-  # The serving front end (DESIGN.md §11) multiplexes connections across
-  # epoll workers while Publish hot-swaps snapshots under live queries —
-  # run the whole server label (protocol fuzz, loopback differentials,
-  # loadgen) under TSan.
-  TSAN_OPTIONS="second_deadlock_stack=1" ctest --output-on-failure \
-    -j "$(nproc)" -L server
+    -j "$(nproc)" -L 'tsan|static_analysis'
   exit 0
 fi
 # Explicit parallelism: temp-path races between test cases only show up when
@@ -152,30 +136,3 @@ ctest --output-on-failure -j "$(nproc)"
 # The CLI suite writes real files; rerun it highly parallel and repeated so
 # a reintroduced shared-temp-path race fails here instead of flaking in CI.
 ctest --output-on-failure -j 8 --repeat until-fail:2 -R CliTest
-# The golden-fixture gate (committed legacy SHRD/SHR2/HABF snapshots must
-# load bit-exact forever) runs explicitly so a format break can never hide
-# behind a filtered or trimmed test run.
-ctest --output-on-failure -L format_compat
-if [ "${mode}" = "sanitize" ]; then
-  # Explicit ASan/UBSan pass over the routing suite (including the snapshot
-  # fuzz drivers, which are exactly where a missed bounds check would turn
-  # into a heap overflow): redundant with the full matrix above, but the
-  # label keeps the skew surface covered even if the full run is trimmed.
-  ctest --output-on-failure -j "$(nproc)" -L skew
-  # Same for the dynamic label: the counting-bloom clamp and the delta-tier
-  # compaction paths are exactly where an off-by-one would become a
-  # container-overflow or use-after-publish finding.
-  ctest --output-on-failure -j "$(nproc)" -L dynamic
-  # The annotated-wrapper suite under ASan: RAII release on exception
-  # unwinds, condvar timed waits, shared/exclusive handoff.
-  ctest --output-on-failure -j "$(nproc)" -L static_analysis
-  # The format_compat gate under ASan: the legacy readers parse committed
-  # bytes, so a bounds slip here is a heap overflow on attacker-shaped
-  # input, not just a wrong answer.
-  ctest --output-on-failure -L format_compat
-  # The server label under ASan/UBSan: the frame decoder and payload
-  # parsers consume attacker-controlled bytes off the wire, so the fuzz
-  # suites run where a missed length check becomes a heap overflow report
-  # instead of a silent wrong answer.
-  ctest --output-on-failure -j "$(nproc)" -L server
-fi

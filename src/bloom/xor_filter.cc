@@ -205,17 +205,7 @@ bool ParseHbf1XorSnapshot(std::string_view data, XorSnapshotFields* fields) {
 }
 }  // namespace
 
-void XorFilter::Serialize(std::string* out, SnapshotFormat format) const {
-  if (format == SnapshotFormat::kLegacy) {
-    BinaryWriter writer(out);
-    writer.WriteU32(kXorMagic);
-    writer.WriteU32(kXorVersion);
-    writer.WriteU64(segment_length_);
-    writer.WriteU32(fingerprint_bits_);
-    writer.WriteU64(seed_);
-    writer.WriteWords(slots_.words());
-    return;
-  }
+void XorFilter::Serialize(std::string* out) const {
   std::string config;
   BinaryWriter config_writer(&config);
   config_writer.WriteU64(segment_length_);

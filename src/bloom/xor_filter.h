@@ -17,7 +17,6 @@
 
 #include "core/filter_interface.h"
 #include "util/bitvector.h"
-#include "util/serde.h"  // SnapshotFormat
 
 namespace habf {
 
@@ -50,9 +49,8 @@ class XorFilter {
   /// b / 1.23 + 32/|S|), clamped to [1, 32].
   static unsigned FingerprintBitsForBudget(size_t total_bits, size_t num_keys);
 
-  /// Appends a self-contained snapshot to `*out`.
-  void Serialize(std::string* out,
-                 SnapshotFormat format = SnapshotFormat::kHbf1) const;
+  /// Appends a self-contained HBF1 snapshot to `*out`.
+  void Serialize(std::string* out) const;
 
   /// Restores a filter from Serialize() output (HBF1 or the legacy "XORF"
   /// layout, sniffed by magic); nullopt on format errors.

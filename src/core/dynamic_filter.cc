@@ -583,7 +583,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   {
     TokenLock base_order(base_acquire_order_);
     const auto snap = base_.Acquire();
-    snap.filter->Serialize(&base_payload, SnapshotFormat::kHbf1);
+    snap.filter->Serialize(&base_payload);
   }
   std::string keys_payload;
   {

@@ -128,7 +128,7 @@ class FilterStore {
   }
 
   // --- persistence (HBF1 container, DESIGN.md §10) ------------------------
-  // Requires `void F::Serialize(std::string*, SnapshotFormat) const` and
+  // Requires `void F::Serialize(std::string*) const` and
   // `static std::optional<F> F::Deserialize(std::string_view)`.
 
   /// A snapshot parsed back from SaveToFile output.
@@ -145,7 +145,7 @@ class FilterStore {
     std::string version_payload;
     BinaryWriter(&version_payload).WriteU64(current.version);
     std::string filter_payload;
-    current.filter->Serialize(&filter_payload, SnapshotFormat::kHbf1);
+    current.filter->Serialize(&filter_payload);
     SectionWriter container(out, kStoreContentTag);
     container.AddSection(kStoreVersionTag, version_payload);
     container.AddSection(kStoreFilterTag, filter_payload);

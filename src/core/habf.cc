@@ -750,27 +750,7 @@ bool ParseHbf1Snapshot(std::string_view data, SnapshotFields* fields) {
 }
 }  // namespace
 
-void Habf::Serialize(std::string* out, SnapshotFormat format) const {
-  if (format == SnapshotFormat::kLegacy) {
-    // Byte-exact pre-HBF1 writer: format_compat fixtures pin this layout.
-    BinaryWriter writer(out);
-    writer.WriteU32(kSnapshotMagic);
-    writer.WriteU32(kSnapshotVersion);
-    writer.WriteU64(options_.total_bits);
-    writer.WriteDouble(options_.delta);
-    writer.WriteU64(options_.k);
-    writer.WriteU8(static_cast<uint8_t>(options_.cell_bits));
-    writer.WriteU8(options_.fast ? 1 : 0);
-    writer.WriteU64(options_.seed);
-    writer.WriteBytes(std::string_view(
-        reinterpret_cast<const char*>(h0_.data()), h0_.size()));
-    writer.WriteU64(dynamic_insertions_);
-    writer.WriteU64(expressor_.num_inserted());
-    writer.WriteWords(bloom_.bits().words());
-    writer.WriteWords(expressor_.cells().words());
-    return;
-  }
-
+void Habf::Serialize(std::string* out) const {
   std::string opts;
   BinaryWriter opts_writer(&opts);
   opts_writer.WriteU64(options_.total_bits);
@@ -840,9 +820,9 @@ std::optional<Habf> Habf::Deserialize(std::string_view data) {
   return habf;
 }
 
-bool Habf::SaveToFile(const std::string& path, SnapshotFormat format) const {
+bool Habf::SaveToFile(const std::string& path) const {
   std::string bytes;
-  Serialize(&bytes, format);
+  Serialize(&bytes);
   // Atomic replace: a crash mid-save can never leave a torn snapshot that
   // only surfaces at load time.
   return WriteFileBytesAtomic(path, bytes);

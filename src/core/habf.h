@@ -31,7 +31,6 @@
 #include "core/hash_expressor.h"
 #include "hashing/hash_provider.h"
 #include "util/memory.h"
-#include "util/serde.h"  // SnapshotFormat
 
 namespace habf {
 
@@ -173,20 +172,18 @@ class Habf {
   // --- persistence (versioned binary format) ------------------------------
 
   /// Appends a self-contained snapshot (options + both bit arrays) to
-  /// `*out`. Build statistics are not persisted. The default is the HBF1
-  /// sectioned container (DESIGN.md §10); kLegacy emits the byte-exact
-  /// pre-HBF1 "HABF" format for old readers.
-  void Serialize(std::string* out,
-                 SnapshotFormat format = SnapshotFormat::kHbf1) const;
+  /// `*out` as an HBF1 sectioned container (DESIGN.md §10). Build
+  /// statistics are not persisted.
+  void Serialize(std::string* out) const;
 
-  /// Restores a filter from Serialize() output — either format, sniffed by
-  /// magic. Returns nullopt on any format/version/consistency error.
-  /// Queries on the restored filter behave identically to the original.
+  /// Restores a filter from Serialize() output or a legacy "HABF" snapshot,
+  /// sniffed by magic. Returns nullopt on any format/version/consistency
+  /// error. Queries on the restored filter behave identically to the
+  /// original.
   static std::optional<Habf> Deserialize(std::string_view data);
 
   /// Convenience file wrappers; false on I/O or format errors.
-  bool SaveToFile(const std::string& path,
-                  SnapshotFormat format = SnapshotFormat::kHbf1) const;
+  bool SaveToFile(const std::string& path) const;
   static std::optional<Habf> LoadFromFile(const std::string& path);
 
   // --- dynamic updates (future-work extension, see DESIGN.md) -------------

@@ -44,12 +44,12 @@ namespace habf {
 constexpr uint64_t kDefaultShardSalt = 0x5348415244ULL;  // "SHARD"
 
 /// Legacy sharded snapshot framing (magic + version + shard directory):
-/// uniform hash routing, no routing directory. Still written for
-/// uniform-routed filters and always accepted by Deserialize.
+/// uniform hash routing, no routing directory. Read-only: Deserialize
+/// accepts it, nothing writes it any more.
 constexpr uint32_t kShardedSnapshotMagic = 0x44524853;  // "SHRD"
 constexpr uint32_t kShardedSnapshotVersion = 1;
-/// Two-choice sharded snapshot framing: SHRD plus the persisted routing
-/// directory and per-shard routed weights (DESIGN.md §6).
+/// Legacy two-choice sharded snapshot framing (read-only): SHRD plus the
+/// persisted routing directory and per-shard routed weights (DESIGN.md §6).
 constexpr uint32_t kShardedSnapshotMagicV2 = 0x32524853;  // "SHR2"
 constexpr uint32_t kShardedSnapshotVersionV2 = 1;
 /// Upper bound on the shard count accepted from a snapshot header; anything
@@ -108,7 +108,7 @@ struct ShardedBuildOptions {
   /// filter route identically.
   uint64_t salt = kDefaultShardSalt;
   /// Key→shard placement policy. kTwoChoice builds a weight-balanced
-  /// routing directory (persisted in the SHR2 snapshot); with one shard the
+  /// routing directory (persisted in the snapshot); with one shard the
   /// mode is irrelevant and no directory is built.
   RoutingMode routing = RoutingMode::kUniform;
   /// Directory size for kTwoChoice (clamped to
@@ -118,7 +118,7 @@ struct ShardedBuildOptions {
 
 /// A filter hash-partitioned into independent per-shard filters. F must
 /// model the Filter concept; Serialize/Deserialize additionally require
-/// `void F::Serialize(std::string*, SnapshotFormat) const` and
+/// `void F::Serialize(std::string*) const` and
 /// `static std::optional<F> F::Deserialize(std::string_view)`.
 template <typename F>
 class ShardedFilter {
@@ -331,45 +331,12 @@ class ShardedFilter {
 
   // --- persistence (versioned sharded snapshot) ---------------------------
 
-  /// Appends the sharded snapshot. The default is the HBF1 sectioned
-  /// container (content "SHRD"; DESIGN.md §10): an SCFG section (salt +
-  /// shard count), an RDIR section for two-choice routing, and an SHDS
-  /// section of length-prefixed per-shard sub-snapshots (each produced by
-  /// F::Serialize in the same format). kLegacy emits the byte-exact
-  /// pre-HBF1 framing — SHRD for uniform routing, SHR2 (directory +
-  /// per-shard routed weights) for two-choice — for old readers and the
-  /// format_compat fixtures.
-  void Serialize(std::string* out,
-                 SnapshotFormat format = SnapshotFormat::kHbf1) const {
-    if (format == SnapshotFormat::kLegacy) {
-      BinaryWriter writer(out);
-      if (directory_.empty()) {
-        writer.WriteU32(kShardedSnapshotMagic);
-        writer.WriteU32(kShardedSnapshotVersion);
-        writer.WriteU64(salt_);
-        writer.WriteU32(static_cast<uint32_t>(shards_.size()));
-      } else {
-        writer.WriteU32(kShardedSnapshotMagicV2);
-        writer.WriteU32(kShardedSnapshotVersionV2);
-        writer.WriteU64(salt_);
-        writer.WriteU32(static_cast<uint32_t>(shards_.size()));
-        writer.WriteU32(static_cast<uint32_t>(directory_.num_buckets()));
-        for (const uint16_t shard : directory_.bucket_to_shard) {
-          writer.WriteU8(static_cast<uint8_t>(shard & 0xFF));
-          writer.WriteU8(static_cast<uint8_t>(shard >> 8));
-        }
-        for (const double weight : directory_.shard_weights) {
-          writer.WriteDouble(weight);
-        }
-      }
-      for (const F& shard : shards_) {
-        std::string sub;
-        shard.Serialize(&sub, SnapshotFormat::kLegacy);
-        writer.WriteBytes(sub);
-      }
-      return;
-    }
-
+  /// Appends the sharded snapshot as an HBF1 sectioned container (content
+  /// "SHRD"; DESIGN.md §10): an SCFG section (salt + shard count), an RDIR
+  /// section for two-choice routing, and an SHDS section of
+  /// length-prefixed per-shard sub-snapshots (each produced by
+  /// F::Serialize).
+  void Serialize(std::string* out) const {
     std::string config;
     BinaryWriter config_writer(&config);
     config_writer.WriteU64(salt_);
@@ -379,7 +346,7 @@ class ShardedFilter {
     BinaryWriter shard_writer(&shard_blob);
     for (const F& shard : shards_) {
       std::string sub;
-      shard.Serialize(&sub, SnapshotFormat::kHbf1);
+      shard.Serialize(&sub);
       shard_writer.WriteBytes(sub);
     }
 
@@ -456,10 +423,9 @@ class ShardedFilter {
     return ShardedFilter(std::move(shards), salt, std::move(directory));
   }
 
-  bool SaveToFile(const std::string& path,
-                  SnapshotFormat format = SnapshotFormat::kHbf1) const {
+  bool SaveToFile(const std::string& path) const {
     std::string bytes;
-    Serialize(&bytes, format);
+    Serialize(&bytes);
     // Atomic replace: a crash mid-save can never leave a torn snapshot that
     // only surfaces at load time.
     return WriteFileBytesAtomic(path, bytes);

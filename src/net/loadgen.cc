@@ -87,7 +87,8 @@ using Clock = std::chrono::steady_clock;
 struct InFlight {
   uint64_t request_id;
   Clock::time_point sent_at;
-  std::vector<uint64_t> indices;  // stream indices, for FN accounting
+  bool mutation = false;
+  std::vector<uint64_t> indices;  // query stream indices, for FN accounting
 };
 
 struct ConnectionResult {
@@ -96,36 +97,93 @@ struct ConnectionResult {
   std::string error;
 };
 
-/// Sends one request of keys_per_request fresh stream keys; records it on
-/// the in-flight queue. Latency for the request is measured from
-/// `scheduled_at` — the closed loop passes now(), the open loop passes the
-/// tick the schedule assigned, so a stalled generator cannot hide its
+/// Which of a connection's requests become mutation frames, and their keys.
+/// The credit accumulates mutate_rate per request, so exactly that fraction
+/// of requests mutates, deterministically and without touching the query
+/// key stream's RNG.
+struct MutationCursor {
+  double credit = 0.0;
+  uint64_t next_key = 0;     // first key of the next fresh insert batch
+  uint64_t batch_first = 0;  // first key of the batch the next remove takes
+  bool insert_next = true;
+};
+
+/// Sends one request of keys_per_request keys — a query of fresh stream
+/// keys, or (per the mutation cursor) an insert or remove batch — and
+/// records it on the in-flight queue. Latency for the request is measured
+/// from `scheduled_at` — the closed loop passes now(), the open loop passes
+/// the tick the schedule assigned, so a stalled generator cannot hide its
 /// backlog from the histogram (coordinated-omission correction).
-bool SendOne(const LoadgenOptions& options, BlockingClient* client,
-             Xoshiro256* rng, uint64_t* next_request_id,
+bool SendOne(const LoadgenOptions& options, size_t connection_index,
+             BlockingClient* client, Xoshiro256* rng,
+             MutationCursor* mutations, uint64_t* next_request_id,
              Clock::time_point scheduled_at,
              std::deque<InFlight>* outstanding, LoadgenReport* report,
              std::string* error) {
   InFlight entry;
   entry.request_id = (*next_request_id)++;
-  entry.indices.reserve(options.keys_per_request);
   std::vector<std::string> keys;
   keys.reserve(options.keys_per_request);
-  for (size_t k = 0; k < options.keys_per_request; ++k) {
-    const uint64_t index = rng->NextBounded(options.key_space);
-    entry.indices.push_back(index);
-    keys.push_back(WorkloadStreamKey(options.key_seed, index));
+  mutations->credit += options.mutate_rate;
+  entry.mutation = mutations->credit >= 1.0;
+  bool insert = false;
+  if (entry.mutation) {
+    mutations->credit -= 1.0;
+    insert = mutations->insert_next;
+    mutations->insert_next = !insert;
+    if (insert) {
+      mutations->batch_first = mutations->next_key;
+      mutations->next_key += options.keys_per_request;
+    }
+    const std::string prefix =
+        "loadgen-mutation-" + std::to_string(connection_index) + "-";
+    for (size_t k = 0; k < options.keys_per_request; ++k) {
+      keys.push_back(prefix + std::to_string(mutations->batch_first + k));
+    }
+  } else {
+    entry.indices.reserve(options.keys_per_request);
+    for (size_t k = 0; k < options.keys_per_request; ++k) {
+      const uint64_t index = rng->NextBounded(options.key_space);
+      entry.indices.push_back(index);
+      keys.push_back(WorkloadStreamKey(options.key_seed, index));
+    }
   }
   std::vector<std::string_view> views(keys.begin(), keys.end());
+  const KeySpan span(views.data(), views.size());
   entry.sent_at = scheduled_at;
-  if (!client->SendQuery(entry.request_id,
-                         KeySpan(views.data(), views.size()), error)) {
-    return false;
-  }
+  const bool sent =
+      entry.mutation
+          ? client->SendMutation(entry.request_id, insert, span, error)
+          : client->SendQuery(entry.request_id, span, error);
+  if (!sent) return false;
   report->requests_sent += 1;
   outstanding->push_back(std::move(entry));
   report->max_in_flight_observed =
       std::max(report->max_in_flight_observed, outstanding->size());
+  return true;
+}
+
+/// Checks a mutation ack: every key applied, or the run fails (a static
+/// backend answers kOpError, which lands here too).
+bool RetireMutation(const OwnedFrame& frame, size_t keys,
+                    LoadgenReport* report, std::string* error) {
+  if (frame.op != kOpMutateResponse) {
+    *error = "mutation refused: op " + std::to_string(int{frame.op}) +
+             " answered request_id " + std::to_string(frame.request_id);
+    return false;
+  }
+  MutateResponseView response;
+  if (!ParseMutateResponsePayload(frame.payload, &response, error)) {
+    return false;
+  }
+  if (response.status != kStatusOk || response.applied != keys) {
+    *error = "mutation applied " + std::to_string(response.applied) + " of " +
+             std::to_string(keys) + " keys (status " +
+             std::to_string(int{response.status}) + ")";
+    return false;
+  }
+  report->mutations_acked += 1;
+  report->keys_mutated += keys;
   return true;
 }
 
@@ -142,11 +200,27 @@ bool ReceiveOne(const LoadgenOptions& options, BlockingClient* client,
   InFlight entry = std::move(outstanding->front());
   outstanding->pop_front();
   const Clock::time_point received_at = Clock::now();
-  if (frame.op != kOpQueryResponse || frame.request_id != entry.request_id) {
-    *error = "out-of-order or non-query response: op " +
-             std::to_string(int{frame.op}) + " request_id " +
+  const uint64_t latency_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
+                                                           entry.sent_at)
+          .count());
+  if (frame.request_id != entry.request_id) {
+    *error = "out-of-order response: request_id " +
              std::to_string(frame.request_id) + " (expected " +
              std::to_string(entry.request_id) + ")";
+    return false;
+  }
+  if (entry.mutation) {
+    if (!RetireMutation(frame, options.keys_per_request, report, error)) {
+      return false;
+    }
+    report->responses_received += 1;
+    report->mutation_latency_ns.Record(latency_ns);
+    return true;
+  }
+  if (frame.op != kOpQueryResponse) {
+    *error = "non-query response: op " + std::to_string(int{frame.op}) +
+             " request_id " + std::to_string(frame.request_id);
     return false;
   }
   QueryResponseView response;
@@ -166,10 +240,7 @@ bool ReceiveOne(const LoadgenOptions& options, BlockingClient* client,
       report->false_negatives += 1;
     }
   }
-  report->latency_ns.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(received_at -
-                                                           entry.sent_at)
-          .count()));
+  report->latency_ns.Record(latency_ns);
   return true;
 }
 
@@ -180,6 +251,7 @@ void RunConnection(const LoadgenOptions& options, size_t connection_index,
 
   Xoshiro256 rng(options.key_seed ^
                  (0x9e3779b97f4a7c15ULL * (connection_index + 1)));
+  MutationCursor mutations;
   std::deque<InFlight> outstanding;
   uint64_t next_request_id = 1;
   LoadgenReport* report = &result->report;
@@ -196,8 +268,9 @@ void RunConnection(const LoadgenOptions& options, size_t connection_index,
     Clock::time_point next_send = start;
     while (Clock::now() < deadline) {
       if (Clock::now() >= next_send) {
-        if (!SendOne(options, &client, &rng, &next_request_id, next_send,
-                     &outstanding, report, &result->error)) {
+        if (!SendOne(options, connection_index, &client, &rng, &mutations,
+                     &next_request_id, next_send, &outstanding, report,
+                     &result->error)) {
           return;
         }
         next_send += interval;
@@ -220,8 +293,9 @@ void RunConnection(const LoadgenOptions& options, size_t connection_index,
     const size_t window = std::max<size_t>(1, options.max_in_flight);
     while (Clock::now() < deadline) {
       while (outstanding.size() < window) {
-        if (!SendOne(options, &client, &rng, &next_request_id, Clock::now(),
-                     &outstanding, report, &result->error)) {
+        if (!SendOne(options, connection_index, &client, &rng, &mutations,
+                     &next_request_id, Clock::now(), &outstanding, report,
+                     &result->error)) {
           return;
         }
       }
@@ -247,6 +321,14 @@ void RunConnection(const LoadgenOptions& options, size_t connection_index,
 
 bool RunLoadgen(const LoadgenOptions& options, LoadgenReport* report,
                 std::string* error) {
+  if (!(options.mutate_rate >= 0.0 && options.mutate_rate <= 1.0)) {
+    *report = LoadgenReport();
+    if (error != nullptr) {
+      *error = "mutate_rate must be a fraction in [0, 1], got " +
+               std::to_string(options.mutate_rate);
+    }
+    return false;
+  }
   const size_t connections = std::max<size_t>(1, options.connections);
   std::vector<ConnectionResult> results(connections);
   std::vector<std::thread> threads;
@@ -272,11 +354,14 @@ bool RunLoadgen(const LoadgenOptions& options, LoadgenReport* report,
     report->keys_queried += result.report.keys_queried;
     report->positives += result.report.positives;
     report->false_negatives += result.report.false_negatives;
+    report->mutations_acked += result.report.mutations_acked;
+    report->keys_mutated += result.report.keys_mutated;
     report->max_in_flight_observed = std::max(
         report->max_in_flight_observed, result.report.max_in_flight_observed);
     report->duration_seconds =
         std::max(report->duration_seconds, result.report.duration_seconds);
     report->latency_ns.Merge(result.report.latency_ns);
+    report->mutation_latency_ns.Merge(result.report.mutation_latency_ns);
   }
   if (report->duration_seconds > 0.0) {
     report->achieved_rps = static_cast<double>(report->responses_received) /

@@ -23,6 +23,13 @@
 // serving tests and habf_tool use to preload members, so index <
 // expect_members ⇒ the key IS a member and a 0 answer is a false negative
 // counted by the report.
+//
+// Mixed read/write load (mutate_rate > 0): that fraction of each
+// connection's requests goes out as kOpInsert / kOpRemove frames instead of
+// queries, against a dynamic (`serve --wal-dir`) backend. Mutation frames
+// alternate between inserting a fresh batch of connection-private keys and
+// removing that same batch. Those keys never appear in the query stream,
+// so the false-negative accounting above stays exact.
 
 #pragma once
 
@@ -91,6 +98,9 @@ struct LoadgenOptions {
   /// Indices < expect_members were preloaded as members on the server; a
   /// negative answer for one is a false negative (one-sidedness violation).
   uint64_t expect_members = 0;
+  /// Fraction in [0, 1] of requests sent as mutation frames (see above).
+  /// RunLoadgen rejects anything else, NaN included.
+  double mutate_rate = 0.0;
   /// Fetch the server's kOpStats counters into the report after the run
   /// (best-effort over one extra connection; failure leaves them empty).
   bool collect_server_stats = true;
@@ -102,6 +112,10 @@ struct LoadgenReport {
   uint64_t keys_queried = 0;
   uint64_t positives = 0;
   uint64_t false_negatives = 0;
+  /// Mutation frames acknowledged with every key applied, and their keys.
+  /// A refused or partial mutation fails the run instead.
+  uint64_t mutations_acked = 0;
+  uint64_t keys_mutated = 0;
   /// Largest pipelined depth any connection reached (closed loop: <= the
   /// max_in_flight option, asserted by the unit tests).
   size_t max_in_flight_observed = 0;
@@ -109,7 +123,9 @@ struct LoadgenReport {
   double achieved_rps = 0.0;
   /// Request send -> response parsed, in nanoseconds. Open loop: from the
   /// scheduled send time (coordinated-omission corrected, see above).
+  /// Query requests only; mutation acks have their own histogram.
   LatencyHistogram latency_ns;
+  LatencyHistogram mutation_latency_ns;
   /// The server's kOpStats counters at the end of the run, when
   /// collect_server_stats succeeded (empty otherwise).
   std::vector<std::pair<std::string, uint64_t>> server_stats;

@@ -12,7 +12,6 @@
 #include <optional>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/delta_wal.h"
@@ -24,7 +23,6 @@
 #include "eval/metrics.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "util/annotated_sync.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 #include "workload/dataset.h"
@@ -35,11 +33,12 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: habf_tool <command> [options]\n"
-    "  build    --positives FILE --out FILTER [--negatives FILE]\n"
+    "  build    --positives FILE (--out FILTER | --wal-dir DIR)\n"
+    "           [--negatives FILE]\n"
     "           [--bits-per-key N] [--delta D] [--k K] [--cell-bits C]\n"
     "           [--fast] [--shards N] [--threads T]\n"
     "           [--routing uniform|two-choice] [--routing-buckets B]\n"
-    "           [--snapshot-format hbf1|legacy]\n"
+    "           (--wal-dir writes a durable dynamic filter for serve)\n"
     "  query    --filter FILTER (--key KEY ... | --keys FILE)\n"
     "           [--parallel-batch] [--threads T]\n"
     "  stats    (--filter FILTER | --port P [--host H])\n"
@@ -49,9 +48,6 @@ constexpr char kUsage[] =
     "  inspect  <snapshot>   (HBF1 section table, or legacy format by magic)\n"
     "  generate --dataset shalla|ycsb --positives FILE --negatives FILE\n"
     "           [--count N] [--zipf THETA] [--seed S]\n"
-    "  serve-sim --positives FILE [--negatives FILE] [build flags]\n"
-    "           [--rebuilds R] [--batch B] [--mutate-rate R]\n"
-    "           [--wal-dir DIR] [--kill-recover]\n"
     "  serve    (--snapshot FILTER | --wal-dir DIR) [--port P]\n"
     "           [--port-file FILE] [--workers N] [--duration-ms MS]\n"
     "           (--port 0 picks a free port; --duration-ms 0 serves until\n"
@@ -80,7 +76,7 @@ std::optional<Flags> ParseFlags(const std::vector<std::string>& args,
       return std::nullopt;
     }
     const std::string name = arg.substr(2);
-    if (name == "fast" || name == "parallel-batch" || name == "kill-recover") {
+    if (name == "fast" || name == "parallel-batch") {
       flags.values[name].push_back("1");
       continue;
     }
@@ -107,14 +103,6 @@ bool ParseSize(const std::string& text, size_t* out) {
   const auto result =
       std::from_chars(text.data(), text.data() + text.size(), *out);
   return result.ec == std::errc() && result.ptr == text.data() + text.size();
-}
-
-/// Strict fraction parse for rate-style flags (--mutate-rate): everything
-/// ParseDouble rejects (partial consumption, nan, inf) plus anything
-/// outside [0, 1]. Rates above 1.0 are as nonsensical as negative ones —
-/// both silently saturate downstream loops if let through.
-bool ParseFraction(const std::string& text, double* out) {
-  return ParseDouble(text, out) && *out >= 0.0 && *out <= 1.0;
 }
 
 /// "bad --flag value 'text' (expectation)" — every numeric-flag rejection
@@ -176,9 +164,9 @@ bool ReadWeightedLines(const std::string& path,
   return true;
 }
 
-/// Parses the filter-construction flags shared by `build` and `serve-sim`
-/// (--bits-per-key/--delta/--k/--cell-bits/--fast plus --shards/--threads)
-/// into `*options` and `*sharding`. Returns 0 or the exit code to propagate.
+/// Parses the filter-construction flags of `build` (--bits-per-key/--delta/
+/// --k/--cell-bits/--fast plus --shards/--threads/--routing) into
+/// `*options` and `*sharding`. Returns 0 or the exit code to propagate.
 int ParseBuildFlags(const Flags& flags, size_t num_positives,
                     HabfOptions* options, ShardedBuildOptions* sharding,
                     std::string* err) {
@@ -267,28 +255,14 @@ int ParseBuildFlags(const Flags& flags, size_t num_positives,
   return 0;
 }
 
-/// --snapshot-format: HBF1 is the default writer; `legacy` is the escape
-/// hatch that emits the byte-exact pre-HBF1 format for old readers.
-bool ParseSnapshotFormat(const Flags& flags, SnapshotFormat* format,
-                         std::string* err) {
-  if (const std::string* v = flags.GetOne("snapshot-format")) {
-    if (*v == "legacy") {
-      *format = SnapshotFormat::kLegacy;
-    } else if (*v == "hbf1") {
-      *format = SnapshotFormat::kHbf1;
-    } else {
-      *err += BadFlag("snapshot-format", *v, "expected 'hbf1' or 'legacy'");
-      return false;
-    }
-  }
-  return true;
-}
-
 int CmdBuild(const Flags& flags, std::string* out, std::string* err) {
   const std::string* positives_path = flags.GetOne("positives");
   const std::string* out_path = flags.GetOne("out");
-  if (positives_path == nullptr || out_path == nullptr) {
-    *err += "build requires --positives and --out\n";
+  const std::string* wal_dir = flags.GetOne("wal-dir");
+  if (positives_path == nullptr ||
+      (out_path == nullptr) == (wal_dir == nullptr)) {
+    *err += "build requires --positives and exactly one of --out (snapshot) "
+            "or --wal-dir (durable dynamic filter)\n";
     return 1;
   }
   std::vector<std::string> positives;
@@ -308,13 +282,34 @@ int CmdBuild(const Flags& flags, std::string* out, std::string* err) {
           ParseBuildFlags(flags, positives.size(), &options, &sharding, err)) {
     return code;
   }
-  SnapshotFormat format = SnapshotFormat::kHbf1;
-  if (!ParseSnapshotFormat(flags, &format, err)) return 1;
+
+  if (wal_dir != nullptr) {
+    // The directory `serve --wal-dir` opens: an initial checkpoint, then the
+    // WAL that every later mutation is acknowledged through.
+    const size_t num_positives = positives.size();
+    const size_t num_negatives = negatives.size();
+    DynamicShardedHabf filter(std::move(positives), std::move(negatives),
+                              options, sharding);
+    std::string durability_error;
+    if (!filter.EnableDurability(*wal_dir, &durability_error)) {
+      *err += "cannot enable durability in " + *wal_dir + ": " +
+              durability_error + "\n";
+      return 2;
+    }
+    char line[320];
+    std::snprintf(line, sizeof(line),
+                  "built durable dynamic filter in %s: %zu positives, %zu "
+                  "negatives, %zu shards, %zu bytes\n",
+                  wal_dir->c_str(), num_positives, num_negatives,
+                  filter.num_shards(), filter.MemoryUsageBytes());
+    *out += line;
+    return 0;
+  }
 
   if (sharding.num_shards > 1) {
     const ShardedFilter<Habf> filter =
         BuildShardedHabf(positives, negatives, options, sharding);
-    if (!filter.SaveToFile(*out_path, format)) {
+    if (!filter.SaveToFile(*out_path)) {
       *err += "cannot write " + *out_path + "\n";
       return 2;
     }
@@ -339,7 +334,7 @@ int CmdBuild(const Flags& flags, std::string* out, std::string* err) {
   }
 
   const Habf filter = Habf::Build(positives, negatives, options);
-  if (!filter.SaveToFile(*out_path, format)) {
+  if (!filter.SaveToFile(*out_path)) {
     *err += "cannot write " + *out_path + "\n";
     return 2;
   }
@@ -776,470 +771,6 @@ int CmdGenerate(const Flags& flags, std::string* out, std::string* err) {
   return 0;
 }
 
-/// The --mutate-rate path of serve-sim (DESIGN.md §7): a mixed
-/// insert/delete/query workload against the dynamic delta tier, with one
-/// dirty-shard compaction per round running on a background thread while
-/// the main loop keeps serving query batches. Each round mutates
-/// Joins its thread on every exit path. The serve-sim compactor handoff
-/// used to join only on the straight-line path: an exception thrown while
-/// serving (bad_alloc in a query batch, a failed assertion in the FN
-/// check) destroyed a joinable std::thread and took the whole process down
-/// with std::terminate instead of surfacing the real error.
-struct ThreadJoiner {
-  std::thread thread;
-
-  explicit ThreadJoiner(std::thread t) : thread(std::move(t)) {}
-  ~ThreadJoiner() { Join(); }
-  ThreadJoiner(const ThreadJoiner&) = delete;
-  ThreadJoiner& operator=(const ThreadJoiner&) = delete;
-
-  void Join() {
-    if (thread.joinable()) thread.join();
-  }
-};
-
-/// Compaction running on a background thread, with the report and the done
-/// flag crossing threads under an annotated Mutex (util/annotated_sync.h)
-/// so the handoff protocol is compiler-checked.
-struct CompactorState {
-  Mutex mu;
-  CompactionReport report HABF_GUARDED_BY(mu);
-  bool done HABF_GUARDED_BY(mu) = false;
-
-  bool Done() {
-    MutexLock lock(mu);
-    return done;
-  }
-  CompactionReport TakeReport() {
-    MutexLock lock(mu);
-    return report;
-  }
-};
-
-/// ceil(mutate_rate * batch) keys (alternating fresh-key inserts and
-/// removals of existing members), then checks every query batch against a
-/// reference membership set — any false negative, including one caught
-/// mid-hot-swap, fails the run.
-int RunDynamicServeSim(std::vector<std::string> positives,
-                       std::vector<WeightedKey> negatives,
-                       const HabfOptions& options,
-                       const ShardedBuildOptions& sharding, double mutate_rate,
-                       size_t rounds, size_t batch,
-                       const std::string* wal_dir, bool kill_recover,
-                       std::string* out, std::string* err) {
-  // Query pool: every key ever known, members or not (removed keys stay —
-  // querying them exercises the tombstone path; they just aren't asserted).
-  std::vector<std::string> all_keys = positives;
-  std::unordered_set<std::string> members(positives.begin(), positives.end());
-
-  DynamicOptions dynamic;
-  // Threshold 0: any mutated shard compacts, so every round with mutations
-  // publishes — deterministic round/compaction accounting for the report.
-  dynamic.dirty_fraction_threshold = 0.0;
-  // Heap-owned so --kill-recover can destroy the filter mid-run the way a
-  // crash would (no checkpoint, WAL tail left on disk).
-  auto filter_owner = std::make_unique<DynamicShardedHabf>(
-      std::move(positives), std::move(negatives), options, sharding, dynamic);
-  DynamicShardedHabf& filter = *filter_owner;
-  if (wal_dir != nullptr) {
-    std::string durability_error;
-    if (!filter.EnableDurability(*wal_dir, &durability_error)) {
-      *err += "serve-sim: cannot enable durability in " + *wal_dir + ": " +
-              durability_error + "\n";
-      return 2;
-    }
-  }
-
-  std::vector<uint8_t> answers(batch);
-  std::vector<std::string_view> views;
-  size_t inserted_serial = 0;
-  size_t remove_cursor = 0;
-  size_t cursor = 0;
-  size_t total_mutations = 0;
-  size_t total_queries = 0;
-
-  for (size_t round = 1; round <= rounds; ++round) {
-    const size_t mutations =
-        static_cast<size_t>(std::ceil(mutate_rate * static_cast<double>(batch)));
-    for (size_t m = 0; m < mutations; ++m) {
-      if (m % 2 == 0) {
-        std::string key =
-            "dyn-" + std::to_string(round) + "-" + std::to_string(inserted_serial++);
-        filter.Insert(key);
-        members.insert(key);
-        all_keys.push_back(std::move(key));
-      } else {
-        const std::string& victim = all_keys[remove_cursor++ % all_keys.size()];
-        filter.Remove(victim);
-        members.erase(victim);
-      }
-    }
-    total_mutations += mutations;
-
-    // Rebuild the views each round (all_keys may have grown).
-    views.assign(all_keys.begin(), all_keys.end());
-
-    // Compact on a background thread; keep serving query batches until it
-    // lands. The do/while guarantees at least one batch per round even if
-    // the compaction wins every race. ThreadJoiner guarantees the join on
-    // every exit path, including an exception out of the serving loop.
-    CompactorState compaction;
-    ThreadJoiner compactor(std::thread([&] {
-      CompactionReport r = filter.CompactDirtyShards();
-      MutexLock lock(compaction.mu);
-      compaction.report = r;
-      compaction.done = true;
-    }));
-    size_t round_queries = 0;
-    bool false_negative = false;
-    std::string fn_key;
-    do {
-      const size_t count = std::min(batch, views.size() - cursor);
-      filter.ContainsBatch(KeySpan(views.data() + cursor, count),
-                           answers.data());
-      for (size_t i = 0; i < count; ++i) {
-        if (!answers[i] && members.count(all_keys[cursor + i]) > 0) {
-          false_negative = true;
-          fn_key = all_keys[cursor + i];
-        }
-      }
-      cursor = (cursor + count) % views.size();
-      round_queries += count;
-    } while (!compaction.Done() && !false_negative);
-    compactor.Join();
-    const CompactionReport report = compaction.TakeReport();
-    if (false_negative) {
-      *err += "serve-sim: false negative for member key '" + fn_key +
-              "' during compaction\n";
-      return 2;
-    }
-    total_queries += round_queries;
-    char line[240];
-    std::snprintf(line, sizeof(line),
-                  "round %zu: mutations=%zu shards_rebuilt=%zu/%zu "
-                  "keys_drained=%zu queries_during_compaction=%zu "
-                  "published_version=%llu\n",
-                  round, mutations, report.shards_rebuilt, filter.num_shards(),
-                  report.keys_drained, round_queries,
-                  static_cast<unsigned long long>(report.published_version));
-    *out += line;
-  }
-
-  // Final sweep: every current member must still answer true.
-  views.assign(all_keys.begin(), all_keys.end());
-  for (size_t base = 0; base < views.size(); base += batch) {
-    const size_t count = std::min(batch, views.size() - base);
-    filter.ContainsBatch(KeySpan(views.data() + base, count), answers.data());
-    for (size_t i = 0; i < count; ++i) {
-      if (!answers[i] && members.count(all_keys[base + i]) > 0) {
-        *err += "serve-sim: final sweep dropped member key '" +
-                all_keys[base + i] + "'\n";
-        return 2;
-      }
-    }
-  }
-  const DynamicStats stats = filter.stats();
-  char line[240];
-  std::snprintf(line, sizeof(line),
-                "serve-sim dynamic: rounds=%zu mutations=%zu queries=%zu "
-                "compactions=%llu shards_rebuilt=%llu keys_drained=%llu "
-                "delta_resident=%zu zero_false_negatives=ok\n",
-                rounds, total_mutations, total_queries,
-                static_cast<unsigned long long>(stats.compactions),
-                static_cast<unsigned long long>(stats.shards_rebuilt),
-                static_cast<unsigned long long>(stats.keys_drained),
-                filter.delta_size());
-  *out += line;
-
-  if (kill_recover) {
-    // Phase 1: serve the live dynamic filter over the wire. Wire mutations
-    // go through the same WAL-acknowledged Insert/Remove path as local
-    // ones, a final compaction runs concurrently with wire-served queries,
-    // and Server::Shutdown() drives the graceful drain state machine —
-    // only then does the simulated kill happen, so everything the client
-    // saw acknowledged must survive recovery.
-    size_t wire_acked = 0;
-    std::vector<std::string> wire_keys;
-    for (size_t i = 0; i < 16; ++i) {
-      wire_keys.push_back("wire-" + std::to_string(i));
-    }
-    {
-      net::DynamicBackend backend(&filter);
-      net::Server server(&backend, net::ServerOptions{});
-      std::string net_error;
-      if (!server.Start(&net_error)) {
-        *err += "serve-sim: cannot start server: " + net_error + "\n";
-        return 2;
-      }
-      net::BlockingClient client;
-      if (!client.Connect("127.0.0.1", server.port(), &net_error)) {
-        *err += "serve-sim: cannot connect: " + net_error + "\n";
-        return 2;
-      }
-      const std::vector<std::string_view> wire_views(wire_keys.begin(),
-                                                     wire_keys.end());
-      if (!client.Mutate(true, KeySpan(wire_views.data(), wire_views.size()),
-                         &net_error)) {
-        *err += "serve-sim: wire insert failed: " + net_error + "\n";
-        return 2;
-      }
-      wire_acked += wire_keys.size();
-      const std::string_view victim = all_keys.front();
-      if (!client.Mutate(false, KeySpan(&victim, 1), &net_error)) {
-        *err += "serve-sim: wire remove failed: " + net_error + "\n";
-        return 2;
-      }
-      ++wire_acked;
-      members.erase(all_keys.front());
-
-      // Final compaction concurrent with wire-served queries: answers must
-      // stay one-sided while shards rebuild under the live server.
-      CompactorState compaction;
-      ThreadJoiner compactor(std::thread([&] {
-        CompactionReport r = filter.CompactDirtyShards();
-        MutexLock lock(compaction.mu);
-        compaction.report = r;
-        compaction.done = true;
-      }));
-      std::vector<uint8_t> wire_answers;
-      std::string wire_fn_key;
-      do {
-        if (!client.Query(KeySpan(wire_views.data(), wire_views.size()),
-                          &wire_answers, &net_error)) {
-          *err += "serve-sim: wire query failed: " + net_error + "\n";
-          return 2;  // ThreadJoiner + the server destructor clean up
-        }
-        for (size_t i = 0; i < wire_answers.size(); ++i) {
-          if (!wire_answers[i]) wire_fn_key = wire_keys[i];
-        }
-      } while (!compaction.Done() && wire_fn_key.empty());
-      compactor.Join();
-      if (!wire_fn_key.empty()) {
-        *err += "serve-sim: wire false negative for '" + wire_fn_key +
-                "' during compaction\n";
-        return 2;
-      }
-      client.Close();
-      server.Shutdown();
-    }
-    for (std::string& key : wire_keys) {
-      members.insert(key);
-      all_keys.push_back(std::move(key));
-    }
-
-    // Phase 2: the simulated kill — destroy the filter with the WAL tail
-    // unflushed to a checkpoint — then recover from disk and re-run the
-    // member sweep, both in-process and over the wire.
-    filter_owner.reset();
-    std::string open_error;
-    auto recovered = DynamicShardedHabf::Open(*wal_dir, dynamic, &open_error);
-    if (recovered == nullptr) {
-      *err += "serve-sim: recovery from " + *wal_dir + " failed: " +
-              open_error + "\n";
-      return 2;
-    }
-    size_t recovered_members = 0;
-    for (const auto& key : all_keys) {
-      if (members.count(key) == 0) continue;
-      ++recovered_members;
-      if (!recovered->MightContain(key)) {
-        *err += "serve-sim: recovery dropped member key '" + key + "'\n";
-        return 2;
-      }
-    }
-    std::snprintf(line, sizeof(line),
-                  "serve-sim recover: wal_epoch=%llu recovered_members=%zu "
-                  "zero_false_negatives=ok\n",
-                  static_cast<unsigned long long>(recovered->wal_epoch()),
-                  recovered_members);
-    *out += line;
-
-    // Over-the-wire recovered sweep: serve the recovered filter on a fresh
-    // server and verify every member — including the wire-acknowledged
-    // inserts — through the socket, in batches.
-    {
-      net::DynamicBackend backend(recovered.get());
-      net::Server server(&backend, net::ServerOptions{});
-      std::string net_error;
-      if (!server.Start(&net_error)) {
-        *err += "serve-sim: cannot start recovery server: " + net_error +
-                "\n";
-        return 2;
-      }
-      net::BlockingClient client;
-      if (!client.Connect("127.0.0.1", server.port(), &net_error)) {
-        *err += "serve-sim: cannot connect to recovery server: " + net_error +
-                "\n";
-        return 2;
-      }
-      std::vector<std::string_view> member_views;
-      for (const auto& key : all_keys) {
-        if (members.count(key) > 0) member_views.push_back(key);
-      }
-      std::vector<uint8_t> sweep_answers;
-      for (size_t base = 0; base < member_views.size(); base += batch) {
-        const size_t count = std::min(batch, member_views.size() - base);
-        if (!client.Query(KeySpan(member_views.data() + base, count),
-                          &sweep_answers, &net_error)) {
-          *err += "serve-sim: recovery wire sweep failed: " + net_error +
-                  "\n";
-          return 2;
-        }
-        for (size_t i = 0; i < count; ++i) {
-          if (!sweep_answers[i]) {
-            *err += "serve-sim: recovery wire sweep dropped member '" +
-                    std::string(member_views[base + i]) + "'\n";
-            return 2;
-          }
-        }
-      }
-      client.Close();
-      server.Shutdown();
-      std::snprintf(line, sizeof(line),
-                    "serve-sim wire: mutations_acked=%zu drain=ok "
-                    "recovered_members_verified=%zu "
-                    "zero_false_negatives=ok\n",
-                    wire_acked, member_views.size());
-      *out += line;
-    }
-  }
-  return 0;
-}
-
-/// Demonstrates the async-rebuild + hot-swap serving loop (DESIGN.md §5)
-/// end to end: build an initial sharded filter into a FilterStore, then for
-/// each of --rebuilds rounds start BuildShardedHabfAsync (a fresh seed per
-/// round, so the swap installs a genuinely different filter), keep
-/// answering batched queries from the *current* pinned snapshot the whole
-/// time the rebuild runs, and Publish() the finished build. Every query
-/// batch is checked against the zero-false-negative guarantee — a torn or
-/// half-swapped snapshot would drop positives and fail the run.
-int CmdServeSim(const Flags& flags, std::string* out, std::string* err) {
-  const std::string* positives_path = flags.GetOne("positives");
-  if (positives_path == nullptr) {
-    *err += "serve-sim requires --positives\n";
-    return 1;
-  }
-  std::vector<std::string> positives;
-  if (!ReadKeyLines(*positives_path, &positives, err)) return 2;
-  if (positives.empty()) {
-    *err += "no positive keys in " + *positives_path + "\n";
-    return 2;
-  }
-  std::vector<WeightedKey> negatives;
-  if (const std::string* path = flags.GetOne("negatives")) {
-    if (!ReadWeightedLines(*path, &negatives, err)) return 2;
-  }
-
-  HabfOptions options;
-  ShardedBuildOptions sharding;
-  if (const int code =
-          ParseBuildFlags(flags, positives.size(), &options, &sharding, err)) {
-    return code;
-  }
-  size_t rebuilds = 2;
-  if (const std::string* v = flags.GetOne("rebuilds")) {
-    if (!ParseSize(*v, &rebuilds) || rebuilds == 0) {
-      *err += BadFlag("rebuilds", *v, "expected an integer > 0");
-      return 1;
-    }
-  }
-  size_t batch = 1024;
-  if (const std::string* v = flags.GetOne("batch")) {
-    if (!ParseSize(*v, &batch) || batch == 0) {
-      *err += BadFlag("batch", *v, "expected an integer > 0");
-      return 1;
-    }
-  }
-  const std::string* wal_dir = flags.GetOne("wal-dir");
-  const bool kill_recover = flags.Has("kill-recover");
-  if (const std::string* v = flags.GetOne("mutate-rate")) {
-    double mutate_rate = 0.0;
-    if (!ParseFraction(*v, &mutate_rate)) {
-      *err += BadFlag("mutate-rate", *v,
-                      "expected a finite fraction in [0, 1]");
-      return 1;
-    }
-    if (kill_recover && wal_dir == nullptr) {
-      *err += "serve-sim: --kill-recover requires --wal-dir\n";
-      return 1;
-    }
-    return RunDynamicServeSim(std::move(positives), std::move(negatives),
-                              options, sharding, mutate_rate, rebuilds, batch,
-                              wal_dir, kill_recover, out, err);
-  }
-  if (wal_dir != nullptr || kill_recover) {
-    *err += "serve-sim: --wal-dir/--kill-recover require --mutate-rate "
-            "(durability is a dynamic-tier feature)\n";
-    return 1;
-  }
-
-  FilterStore<ShardedFilter<Habf>> store(
-      BuildShardedHabf(positives, negatives, options, sharding));
-
-  const std::vector<std::string_view> views = MakeKeyViews(positives);
-  std::vector<uint8_t> answers(batch);
-  size_t cursor = 0;
-  // One contiguous slice of the positive keys per query batch, cycling.
-  auto serve_one_batch = [&](const ShardedFilter<Habf>& snapshot) -> size_t {
-    const size_t count = std::min(batch, views.size() - cursor);
-    const size_t positives_seen = snapshot.ContainsBatch(
-        KeySpan(views.data() + cursor, count), answers.data());
-    cursor = (cursor + count) % views.size();
-    return positives_seen == count ? count : 0;  // 0 = a positive was dropped
-  };
-
-  size_t total_queries = 0;
-  for (size_t round = 1; round <= rebuilds; ++round) {
-    HabfOptions round_options = options;
-    round_options.seed = options.seed + round;  // a genuinely new filter
-    BuildHandle handle =
-        BuildShardedHabfAsync(positives, negatives, round_options, sharding);
-    // Serve from the current snapshot while the replacement builds. The
-    // do/while guarantees at least one batch per round even if the rebuild
-    // wins every race.
-    size_t round_queries = 0;
-    do {
-      const auto snapshot = store.Acquire();
-      const size_t served = serve_one_batch(*snapshot.filter);
-      if (served == 0) {
-        *err += "serve-sim: snapshot v" + std::to_string(snapshot.version) +
-                " dropped a positive key\n";
-        return 2;
-      }
-      round_queries += served;
-    } while (!handle.Ready());
-    const uint64_t version = store.Publish(handle.TakeResult());
-    total_queries += round_queries;
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "rebuild %zu: shards=%zu queries_during_rebuild=%zu "
-                  "published_version=%llu\n",
-                  round, handle.num_shards(), round_queries,
-                  static_cast<unsigned long long>(version));
-    *out += line;
-  }
-
-  // The final swapped-in filter must serve every positive too.
-  const auto final_snapshot = store.Acquire();
-  for (size_t base = 0; base < views.size(); base += batch) {
-    const size_t count = std::min(batch, views.size() - base);
-    if (final_snapshot.filter->ContainsBatch(
-            KeySpan(views.data() + base, count), answers.data()) != count) {
-      *err += "serve-sim: final snapshot dropped a positive key\n";
-      return 2;
-    }
-  }
-  char line[200];
-  std::snprintf(line, sizeof(line),
-                "serve-sim: rebuilds=%zu total_queries_during_rebuild=%zu "
-                "final_version=%llu zero_false_negatives=ok\n",
-                rebuilds, total_queries,
-                static_cast<unsigned long long>(final_snapshot.version));
-  *out += line;
-  return 0;
-}
-
 /// Serves a filter over the HNP1 protocol (DESIGN.md §11): --snapshot loads
 /// an immutable snapshot behind a FilterStore pin (queries only), --wal-dir
 /// opens the durable dynamic filter (queries + wire mutations). --port 0
@@ -1407,7 +938,6 @@ int RunCli(const std::vector<std::string>& args, std::string* out,
   if (command == "stats") return CmdStats(*flags, out, err);
   if (command == "eval") return CmdEval(*flags, out, err);
   if (command == "generate") return CmdGenerate(*flags, out, err);
-  if (command == "serve-sim") return CmdServeSim(*flags, out, err);
   if (command == "serve") return CmdServe(*flags, out, err);
   *err += "unknown command: " + command + "\n";
   *err += kUsage;

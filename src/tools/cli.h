@@ -4,28 +4,26 @@
 // thin binary wrapper.
 //
 // Commands:
-//   build --positives FILE --out FILTER [--negatives FILE]
+//   build --positives FILE (--out FILTER | --wal-dir DIR) [--negatives FILE]
 //         [--bits-per-key N] [--delta D] [--k K] [--cell-bits C] [--fast]
 //   query --filter FILTER (--key KEY ... | --keys FILE)
-//   stats --filter FILTER
+//   stats (--filter FILTER | --port P)
 //   eval  --filter FILTER --negatives FILE
+//   inspect SNAPSHOT
 //   generate --dataset shalla|ycsb --positives FILE --negatives FILE
 //            [--count N] [--zipf THETA] [--seed S]
-//   serve-sim --positives FILE [--negatives FILE] [build flags]
-//            [--rebuilds R] [--batch B]
 //   serve (--snapshot FILTER | --wal-dir DIR) [--port P] [--port-file FILE]
 //         [--workers N] [--duration-ms MS]
 //
 // Key files are one key per line; negative files may append a cost after a
 // tab ("key\tcost", default cost 1.0). `generate` emits the repository's
 // synthetic datasets in exactly that format, so the full pipeline can be
-// driven end to end without external data. `serve-sim` demonstrates the
-// async-rebuild + hot-swap serving loop: it keeps answering batched queries
-// from the current FilterStore snapshot while BuildShardedHabfAsync runs,
-// swaps on completion, and reports the queries served during each rebuild.
-// `serve` exposes a filter over the HNP1 socket protocol (DESIGN.md §11):
-// static snapshots answer queries only; a --wal-dir dynamic filter also
-// accepts wire mutations. habf_loadgen is the matching client.
+// driven end to end without external data. `build --wal-dir` writes a
+// durable dynamic filter directory instead of a snapshot file. `serve`
+// exposes a filter over the HNP1 socket protocol (DESIGN.md §11): static
+// snapshots answer queries only; a --wal-dir dynamic filter also accepts
+// wire mutations. habf_loadgen is the matching client (--mutate-rate mixes
+// durable writes into its load).
 
 #pragma once
 

@@ -7,11 +7,13 @@
 //   habf_loadgen --port P [--host H] [--connections N]
 //                [--keys-per-request K] [--window W] [--open-rate R]
 //                [--duration-ms MS] [--key-seed S] [--key-space N]
-//                [--expect-members N] [--json]
+//                [--expect-members N] [--mutate-rate F] [--json]
 //
 // --window W caps the closed-loop pipeline depth per connection (default);
 // --open-rate R > 0 switches to open-loop pacing at R requests/second per
-// connection. Keys come from the deterministic WorkloadStreamKey stream
+// connection. --mutate-rate F sends that fraction of requests as durable
+// insert/remove frames, for a server running `habf_tool serve --wal-dir`.
+// Keys come from the deterministic WorkloadStreamKey stream
 // (src/workload/dataset.h) shared with the serving tests, so preloading the
 // first N stream keys server-side and passing --expect-members N turns the
 // run into a wire-level one-sidedness check.
@@ -30,7 +32,7 @@ constexpr char kUsage[] =
     "usage: habf_loadgen --port P [--host H] [--connections N]\n"
     "       [--keys-per-request K] [--window W] [--open-rate R]\n"
     "       [--duration-ms MS] [--key-seed S] [--key-space N]\n"
-    "       [--expect-members N] [--json]\n";
+    "       [--expect-members N] [--mutate-rate F] [--json]\n";
 
 bool ParseU64(const char* text, uint64_t* out) {
   const char* end = text + std::strlen(text);
@@ -86,6 +88,9 @@ int main(int argc, char** argv) {
       options.key_space = u64;
     } else if (arg == "--expect-members" && ParseU64(value, &u64)) {
       options.expect_members = u64;
+    } else if (arg == "--mutate-rate" && ParseDoubleArg(value, &d) &&
+               d >= 0 && d <= 1) {
+      options.mutate_rate = d;
     } else {
       std::fprintf(stderr, "bad flag/value: %s %s\n%s", arg.c_str(), value,
                    kUsage);
@@ -106,6 +111,7 @@ int main(int argc, char** argv) {
   }
 
   const habf::net::LatencyHistogram& h = report.latency_ns;
+  const habf::net::LatencyHistogram& m = report.mutation_latency_ns;
   if (json) {
     std::printf(
         "{\"requests\": %llu, \"responses\": %llu, \"keys\": %llu, "
@@ -125,6 +131,17 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(h.ValueAtPercentile(99)),
         static_cast<unsigned long long>(h.ValueAtPercentile(99.9)),
         static_cast<unsigned long long>(h.max()));
+    if (options.mutate_rate > 0) {
+      std::printf(
+          ", \"mutations_acked\": %llu, \"keys_mutated\": %llu, "
+          "\"mutation_latency_ns\": {\"p50\": %llu, \"p99\": %llu, "
+          "\"max\": %llu}",
+          static_cast<unsigned long long>(report.mutations_acked),
+          static_cast<unsigned long long>(report.keys_mutated),
+          static_cast<unsigned long long>(m.ValueAtPercentile(50)),
+          static_cast<unsigned long long>(m.ValueAtPercentile(99)),
+          static_cast<unsigned long long>(m.max()));
+    }
     if (!report.server_stats.empty()) {
       std::printf(", \"server_stats\": {");
       for (size_t i = 0; i < report.server_stats.size(); ++i) {
@@ -152,6 +169,15 @@ int main(int argc, char** argv) {
         h.Mean() / 1e3, h.ValueAtPercentile(50) / 1e3,
         h.ValueAtPercentile(90) / 1e3, h.ValueAtPercentile(99) / 1e3,
         h.ValueAtPercentile(99.9) / 1e3, h.max() / 1e3);
+    if (options.mutate_rate > 0) {
+      std::printf(
+          "mutations: acked=%llu keys=%llu ack_us: p50=%.1f p99=%.1f "
+          "max=%.1f\n",
+          static_cast<unsigned long long>(report.mutations_acked),
+          static_cast<unsigned long long>(report.keys_mutated),
+          m.ValueAtPercentile(50) / 1e3, m.ValueAtPercentile(99) / 1e3,
+          m.max() / 1e3);
+    }
     if (!report.server_stats.empty()) {
       std::printf("server_stats:");
       for (const auto& entry : report.server_stats) {

@@ -170,11 +170,6 @@ inline constexpr uint32_t kContainerVersion = 1;
 /// larger count is a corrupt or hostile header, rejected before allocation.
 inline constexpr uint32_t kMaxContainerSections = 64;
 
-/// Which on-disk format a Serialize call emits. Readers always sniff the
-/// magic and accept both; kLegacy keeps the pre-HBF1 writers byte-exact for
-/// the format_compat fixtures and the `--snapshot-format legacy` escape.
-enum class SnapshotFormat : uint8_t { kHbf1, kLegacy };
-
 /// Appends an HBF1 container to `*out`: construct, AddSection() per payload,
 /// Finish() exactly once (patches the section count into the header).
 class SectionWriter {

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.h"
@@ -58,6 +59,12 @@ class CliTest : public ::testing::Test {
     out_.clear();
     err_.clear();
     return RunCli(args, &out_, &err_);
+  }
+
+  /// A committed golden fixture under tests/data/ (format_compat_test).
+  static std::string FixturePath(const std::string& stem,
+                                 const char* extension) {
+    return std::string(HABF_TEST_DATA_DIR) + "/" + stem + extension;
   }
 
   std::string dir_, positives_path_, negatives_path_, filter_path_;
@@ -289,16 +296,6 @@ TEST_F(CliTest, RoutingFlagsRejectBadValues) {
       << "beyond the 2^20 snapshot bound";
 }
 
-TEST_F(CliTest, ServeSimServesThroughTwoChoiceRebuilds) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "3", "--threads", "2",
-                 "--routing", "two-choice", "--rebuilds", "2", "--batch",
-                 "256"}),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-}
-
 TEST_F(CliTest, ShardedBuildRejectsBadArguments) {
   EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--shards", "0"}),
@@ -419,76 +416,6 @@ TEST_F(CliTest, BuildWritesSnapshotAtomicallyWithNoTempLeftover) {
   EXPECT_NE(err_.find("cannot write"), std::string::npos) << err_;
 }
 
-TEST_F(CliTest, ServeSimOverlapsQueriesWithRebuildsAndSwaps) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "2", "--batch", "256"}),
-            0)
-      << err_;
-  // One line per rebuild round, each reporting overlap queries and the
-  // published version, then the zero-false-negative summary.
-  EXPECT_NE(out_.find("rebuild 1: shards=4 queries_during_rebuild="),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("published_version=2"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("rebuild 2:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("published_version=3"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("serve-sim: rebuilds=2 total_queries_during_rebuild="),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("final_version=3 zero_false_negatives=ok"),
-            std::string::npos)
-      << out_;
-}
-
-TEST_F(CliTest, ServeSimRejectsBadArguments) {
-  EXPECT_EQ(Run({"serve-sim"}), 1);
-  EXPECT_NE(err_.find("requires --positives"), std::string::npos);
-  EXPECT_EQ(Run({"serve-sim", "--positives", dir_ + "/nope.txt"}), 2);
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--rebuilds",
-                 "0"}),
-            1);
-  EXPECT_NE(err_.find("--rebuilds value '0'"), std::string::npos) << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--batch",
-                 "banana"}),
-            1);
-  EXPECT_NE(err_.find("banana"), std::string::npos) << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_,
-                 "--bits-per-key", "nan"}),
-            1)
-      << "serve-sim shares build's numeric hardening";
-}
-
-TEST_F(CliTest, ServeSimMutateRateRunsMixedWorkloadAcrossCompactions) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "3", "--batch", "256", "--mutate-rate",
-                 "0.25"}),
-            0)
-      << err_;
-  // One line per round reporting the dirty-shard compaction, then the
-  // zero-false-negative summary with the delta fully drained.
-  EXPECT_NE(out_.find("round 1: mutations=64"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("round 3:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("compactions=3"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("delta_resident=0"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-}
-
-TEST_F(CliTest, ServeSimRejectsBadMutateRate) {
-  // The fraction parser must reject everything outside [0, 1] — and name
-  // the offending value — in both directions, plus nan/inf.
-  for (const char* bad : {"-0.1", "1.5", "nan", "inf", "-inf", "0.5x", ""}) {
-    EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_,
-                   "--mutate-rate", bad}),
-              1)
-        << "value: " << bad;
-    EXPECT_NE(err_.find(std::string("bad --mutate-rate value '") + bad + "'"),
-              std::string::npos)
-        << err_;
-  }
-}
-
 TEST_F(CliTest, WeightedNegativesRejectBadCosts) {
   // ReadWeightedLines shares the numeric hardening: nan/inf costs were
   // already rejected via ParseDouble; negative costs must be too (they
@@ -526,9 +453,9 @@ TEST_F(CliTest, HighCostNegativesOptimizedAway) {
       << out_;
 }
 
-TEST_F(CliTest, SnapshotFormatFlagControlsTheWriter) {
-  // Default writer is the HBF1 container; --snapshot-format legacy emits
-  // the pre-HBF1 bytes. Both load through the same query path.
+TEST_F(CliTest, BuildWritesHbf1AndLegacyFixturesStillQuery) {
+  // Every build writes the HBF1 container; the legacy formats are read-only
+  // and the committed fixtures keep answering through the query path.
   ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--shards", "4", "--routing", "two-choice"}),
             0)
@@ -537,27 +464,18 @@ TEST_F(CliTest, SnapshotFormatFlagControlsTheWriter) {
   ASSERT_TRUE(ReadFileBytes(filter_path_, &bytes));
   EXPECT_TRUE(SectionReader::LooksLikeContainer(bytes));
 
-  const std::string legacy_path = dir_ + "/cli_filter_legacy.habf";
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 legacy_path, "--shards", "4", "--routing", "two-choice",
-                 "--snapshot-format", "legacy"}),
-            0)
-      << err_;
-  ASSERT_TRUE(ReadFileBytes(legacy_path, &bytes));
-  EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
-
-  for (const std::string& path : {filter_path_, legacy_path}) {
-    ASSERT_EQ(Run({"query", "--filter", path, "--key", "member-11"}), 0)
-        << err_;
-    EXPECT_NE(out_.find("member-11\tmaybe-in-set"), std::string::npos);
+  for (const char* stem :
+       {"shrd_uniform_v1", "shr2_two_choice_v2", "habf_legacy_v1"}) {
+    ASSERT_EQ(Run({"query", "--filter", FixturePath(stem, ".snapshot"),
+                   "--keys", FixturePath(stem, ".keys")}),
+              0)
+        << stem << ": " << err_;
+    EXPECT_NE(out_.find("compat-key-127\tmaybe-in-set"), std::string::npos)
+        << stem;
+    EXPECT_EQ(out_.find("not-in-set"), std::string::npos)
+        << stem << " dropped a fixture member:\n"
+        << out_;
   }
-
-  EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--snapshot-format", "sideways"}),
-            1);
-  EXPECT_NE(err_.find("bad --snapshot-format value 'sideways'"),
-            std::string::npos)
-      << err_;
 }
 
 TEST_F(CliTest, InspectDumpsSectionTableAndFlagsCorruption) {
@@ -586,24 +504,17 @@ TEST_F(CliTest, InspectDumpsSectionTableAndFlagsCorruption) {
 }
 
 TEST_F(CliTest, InspectIdentifiesLegacyFormatsByMagic) {
-  // Two-choice legacy → SHR2; single-filter legacy → HABF.
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--shards", "4", "--routing", "two-choice",
-                 "--snapshot-format", "legacy"}),
-            0)
-      << err_;
-  ASSERT_EQ(Run({"inspect", filter_path_}), 0) << err_;
-  EXPECT_NE(out_.find("legacy SHR2 two-choice sharded snapshot"),
-            std::string::npos)
-      << out_;
-
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--snapshot-format", "legacy"}),
-            0)
-      << err_;
-  ASSERT_EQ(Run({"inspect", filter_path_}), 0) << err_;
-  EXPECT_NE(out_.find("legacy HABF filter snapshot"), std::string::npos)
-      << out_;
+  // Each committed legacy fixture is named by its magic.
+  const std::pair<const char*, const char*> fixtures[] = {
+      {"shrd_uniform_v1", "legacy SHRD uniform sharded snapshot"},
+      {"shr2_two_choice_v2", "legacy SHR2 two-choice sharded snapshot"},
+      {"habf_legacy_v1", "legacy HABF filter snapshot"},
+      {"xorf_legacy_v1", "legacy XORF xor-filter snapshot"},
+  };
+  for (const auto& [stem, what] : fixtures) {
+    ASSERT_EQ(Run({"inspect", FixturePath(stem, ".snapshot")}), 0) << err_;
+    EXPECT_NE(out_.find(what), std::string::npos) << out_;
+  }
 
   const std::string junk_path = dir_ + "/junk.bin";
   ASSERT_TRUE(WriteFileBytes(junk_path, "not a snapshot at all"));
@@ -612,39 +523,6 @@ TEST_F(CliTest, InspectIdentifiesLegacyFormatsByMagic) {
 
   EXPECT_EQ(Run({"inspect"}), 1);
   EXPECT_NE(err_.find("inspect requires a snapshot path"), std::string::npos);
-}
-
-TEST_F(CliTest, ServeSimWalDirSurvivesKillRecover) {
-  const std::string wal_dir = dir_ + "/wal";
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "2", "--batch", "256", "--mutate-rate", "0.25",
-                 "--wal-dir", wal_dir, "--kill-recover"}),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("serve-sim recover:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-  EXPECT_TRUE(std::filesystem::exists(wal_dir + "/snapshot.habf"));
-  // The wire phase: 16 inserts + 1 remove acknowledged over the socket, a
-  // graceful drain, then a full member sweep through a fresh server over
-  // the *recovered* filter — every wire-acked mutation survived the kill.
-  EXPECT_NE(out_.find("serve-sim wire: mutations_acked=17 drain=ok"),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("recovered_members_verified="), std::string::npos)
-      << out_;
-}
-
-TEST_F(CliTest, ServeSimWalFlagsRejectMisuse) {
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--mutate-rate",
-                 "0.1", "--kill-recover"}),
-            1);
-  EXPECT_NE(err_.find("--kill-recover requires --wal-dir"), std::string::npos)
-      << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--wal-dir",
-                 dir_ + "/wal"}),
-            1);
-  EXPECT_NE(err_.find("require --mutate-rate"), std::string::npos) << err_;
 }
 
 TEST_F(CliTest, ServeStaticSnapshotAnswersOverTheWire) {
@@ -785,14 +663,19 @@ TEST_F(CliTest, StatsFlagMisuseIsRejected) {
 }
 
 TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
-  // serve-sim seeds the WAL directory (snapshot + durable delta log);
+  // `build --wal-dir` seeds the directory (checkpoint + durable delta log);
   // `serve --wal-dir` then recovers it and accepts wire mutations.
   const std::string wal_dir = dir_ + "/serve_wal";
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--shards", "2",
-                 "--rebuilds", "1", "--batch", "256", "--mutate-rate", "0.25",
+  EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
+                 filter_path_, "--wal-dir", wal_dir}),
+            1);
+  EXPECT_NE(err_.find("exactly one of --out"), std::string::npos) << err_;
+  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--shards", "2",
                  "--wal-dir", wal_dir}),
             0)
       << err_;
+  EXPECT_NE(out_.find("built durable dynamic filter in"), std::string::npos)
+      << out_;
 
   const std::string port_path = dir_ + "/serve_wal_port.txt";
   std::string serve_out, serve_err;

@@ -1,25 +1,22 @@
 // Golden-fixture compatibility gate (ctest label `format_compat`).
 //
 // Small legacy-format snapshots are committed under tests/data/ next to the
-// exact key lists they were built from. These tests prove the legacy SHRD /
-// SHR2 / HABF readers load those bytes bit-exact FOREVER: the fixture
-// deserializes, answers every fixture key, and re-serializing with
-// SnapshotFormat::kLegacy reproduces the committed bytes exactly. Any change
-// that breaks one of these assertions is a format break, not a refactor.
-//
-// Regenerating fixtures (only when *adding* a fixture — never to paper over
-// a failing gate): run this binary with HABF_REGEN_FIXTURES=1 in the
-// environment; it rebuilds the filters deterministically, rewrites
-// tests/data/, and then runs the same assertions against the fresh bytes.
+// exact key lists they were built from. Nothing writes these formats any
+// more; these tests prove the read-only SHRD / SHR2 / HABF / XORF readers
+// load those bytes FOREVER: each fixture deserializes, answers every
+// fixture key, and migrates to HBF1 with identical answers on members and
+// non-members alike. Any change that breaks one of these assertions is a
+// format break, not a refactor. The fixtures cannot be regenerated: they
+// are the format contract.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "bloom/xor_filter.h"
 #include "core/habf.h"
 #include "core/sharded_filter.h"
 #include "util/serde.h"
@@ -31,172 +28,102 @@
 namespace habf {
 namespace {
 
-std::string DataPath(const std::string& name) {
-  return std::string(HABF_TEST_DATA_DIR) + "/" + name;
-}
-
-bool RegenRequested() {
-  const char* env = std::getenv("HABF_REGEN_FIXTURES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::vector<std::string> FixtureKeys(const char* prefix, size_t n) {
-  std::vector<std::string> keys;
-  keys.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys.push_back(std::string(prefix) + std::to_string(i));
-  }
-  return keys;
-}
-
-std::vector<WeightedKey> FixtureNegatives(const char* prefix, size_t n) {
-  std::vector<WeightedKey> negatives;
-  negatives.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    negatives.push_back(
-        {std::string(prefix) + std::to_string(i), 1.0 + double(i % 3)});
-  }
-  return negatives;
-}
-
-void WriteKeyList(const std::string& path,
-                  const std::vector<std::string>& keys) {
-  std::ofstream out(path, std::ios::trunc);
-  ASSERT_TRUE(out.good()) << path;
-  for (const auto& key : keys) out << key << "\n";
-}
-
-std::vector<std::string> ReadKeyList(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing fixture key list " << path
-                         << " (run with HABF_REGEN_FIXTURES=1 to create)";
-  std::vector<std::string> keys;
+/// Loads `<stem>.snapshot` and `<stem>.keys` from tests/data/.
+void LoadFixture(const std::string& stem, std::string* bytes,
+                 std::vector<std::string>* keys) {
+  const std::string base = std::string(HABF_TEST_DATA_DIR) + "/" + stem;
+  ASSERT_TRUE(ReadFileBytes(base + ".snapshot", bytes))
+      << "missing fixture " << base << ".snapshot";
+  std::ifstream in(base + ".keys");
+  ASSERT_TRUE(in.good()) << "missing fixture key list " << base << ".keys";
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty()) keys.push_back(line);
+    if (!line.empty()) keys->push_back(line);
   }
-  return keys;
-}
-
-HabfOptions FixtureOptions() {
-  HabfOptions options;
-  options.total_bits = 1 << 14;
-  options.seed = 20260808;  // fixture generation date; never change
-  return options;
-}
-
-/// Builds the fixture filter for `routing` deterministically (single
-/// thread, fixed seed/salt) — used only by the regeneration path.
-ShardedFilter<Habf> BuildFixtureFilter(RoutingMode routing,
-                                       const std::vector<std::string>& keys) {
-  ShardedBuildOptions sharding;
-  sharding.num_shards = 4;
-  sharding.num_threads = 1;
-  sharding.routing = routing;
-  return BuildShardedHabf(keys, FixtureNegatives("compat-neg-", 64),
-                          FixtureOptions(), sharding);
-}
-
-/// Regenerates `<stem>.snapshot` + `<stem>.keys` if HABF_REGEN_FIXTURES is
-/// set, then loads both back from disk.
-void LoadFixture(const std::string& stem, RoutingMode routing,
-                 std::string* bytes, std::vector<std::string>* keys) {
-  const std::string snapshot_path = DataPath(stem + ".snapshot");
-  const std::string keys_path = DataPath(stem + ".keys");
-  if (RegenRequested()) {
-    auto fresh_keys = FixtureKeys("compat-key-", 128);
-    const auto filter = BuildFixtureFilter(routing, fresh_keys);
-    std::string fresh;
-    filter.Serialize(&fresh, SnapshotFormat::kLegacy);
-    ASSERT_TRUE(WriteFileBytes(snapshot_path, fresh));
-    WriteKeyList(keys_path, fresh_keys);
-  }
-  ASSERT_TRUE(ReadFileBytes(snapshot_path, bytes))
-      << "missing fixture " << snapshot_path
-      << " (run with HABF_REGEN_FIXTURES=1 to create)";
-  *keys = ReadKeyList(keys_path);
   ASSERT_FALSE(keys->empty());
+  EXPECT_FALSE(SectionReader::LooksLikeContainer(*bytes));
 }
 
 uint32_t MagicOf(const std::string& bytes) {
   return BinaryReader(bytes).ReadU32();
 }
 
-void ExpectLoadsBitExact(const std::string& bytes,
-                         const std::vector<std::string>& keys,
-                         RoutingMode expected_routing) {
-  const auto filter = ShardedFilter<Habf>::Deserialize(bytes);
+/// Loads the legacy bytes with F::Deserialize, checks every fixture key is
+/// a member, then migrates to HBF1 and checks the migrated filter answers
+/// identically — fixture keys plus non-member probes — and re-serializes to
+/// the same HBF1 bytes.
+template <typename F>
+void ExpectLoadsAndMigrates(const std::string& bytes,
+                            const std::vector<std::string>& keys) {
+  const std::optional<F> filter = F::Deserialize(bytes);
   ASSERT_TRUE(filter.has_value());
-  EXPECT_EQ(filter->routing(), expected_routing);
+  std::vector<std::string> probes = keys;
   for (const auto& key : keys) {
     EXPECT_TRUE(filter->MightContain(key)) << key;
   }
-  // Bit-exact forever: the legacy writer must reproduce the fixture.
-  std::string reserialized;
-  filter->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes) << "legacy re-serialization drifted";
-  // And the migration path works: the same state round-trips through HBF1.
-  std::string hbf1;
-  filter->Serialize(&hbf1, SnapshotFormat::kHbf1);
-  ASSERT_TRUE(SectionReader::LooksLikeContainer(hbf1));
-  const auto migrated = ShardedFilter<Habf>::Deserialize(hbf1);
-  ASSERT_TRUE(migrated.has_value());
-  for (const auto& key : keys) {
-    EXPECT_TRUE(migrated->MightContain(key)) << key;
+  for (int i = 0; i < 2048; ++i) {
+    probes.push_back("compat-probe-" + std::to_string(i));
   }
+
+  std::string hbf1;
+  filter->Serialize(&hbf1);
+  ASSERT_TRUE(SectionReader::LooksLikeContainer(hbf1));
+  const std::optional<F> migrated = F::Deserialize(hbf1);
+  ASSERT_TRUE(migrated.has_value());
+  for (const auto& probe : probes) {
+    EXPECT_EQ(migrated->MightContain(probe), filter->MightContain(probe))
+        << probe;
+  }
+  std::string again;
+  migrated->Serialize(&again);
+  EXPECT_EQ(again, hbf1) << "HBF1 re-serialization of a migrated fixture";
 }
 
 TEST(FormatCompat, ShrdUniformFixtureLoadsBitExact) {
   std::string bytes;
   std::vector<std::string> keys;
-  LoadFixture("shrd_uniform_v1", RoutingMode::kUniform, &bytes, &keys);
+  LoadFixture("shrd_uniform_v1", &bytes, &keys);
   ASSERT_EQ(MagicOf(bytes), kShardedSnapshotMagic);
-  EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
-  ExpectLoadsBitExact(bytes, keys, RoutingMode::kUniform);
+  const auto filter = ShardedFilter<Habf>::Deserialize(bytes);
+  ASSERT_TRUE(filter.has_value());
+  EXPECT_EQ(filter->routing(), RoutingMode::kUniform);
+  EXPECT_EQ(filter->num_shards(), 4u);
+  ExpectLoadsAndMigrates<ShardedFilter<Habf>>(bytes, keys);
 }
 
 TEST(FormatCompat, Shr2TwoChoiceFixtureLoadsBitExact) {
   std::string bytes;
   std::vector<std::string> keys;
-  LoadFixture("shr2_two_choice_v2", RoutingMode::kTwoChoice, &bytes, &keys);
+  LoadFixture("shr2_two_choice_v2", &bytes, &keys);
   ASSERT_EQ(MagicOf(bytes), kShardedSnapshotMagicV2);
-  EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
-  ExpectLoadsBitExact(bytes, keys, RoutingMode::kTwoChoice);
+  const auto filter = ShardedFilter<Habf>::Deserialize(bytes);
+  ASSERT_TRUE(filter.has_value());
+  EXPECT_EQ(filter->routing(), RoutingMode::kTwoChoice);
+  // The migrated container carries the same directory in its RDIR section.
+  std::string hbf1;
+  filter->Serialize(&hbf1);
+  const auto migrated = ShardedFilter<Habf>::Deserialize(hbf1);
+  ASSERT_TRUE(migrated.has_value());
+  EXPECT_EQ(migrated->directory().bucket_to_shard,
+            filter->directory().bucket_to_shard);
+  EXPECT_EQ(migrated->directory().shard_weights,
+            filter->directory().shard_weights);
+  ExpectLoadsAndMigrates<ShardedFilter<Habf>>(bytes, keys);
 }
 
 TEST(FormatCompat, HabfLegacyFixtureLoadsBitExact) {
-  const std::string snapshot_path = DataPath("habf_legacy_v1.snapshot");
-  const std::string keys_path = DataPath("habf_legacy_v1.keys");
-  if (RegenRequested()) {
-    auto fresh_keys = FixtureKeys("compat-key-", 128);
-    const Habf filter =
-        Habf::Build(fresh_keys, FixtureNegatives("compat-neg-", 64),
-                    FixtureOptions());
-    std::string fresh;
-    filter.Serialize(&fresh, SnapshotFormat::kLegacy);
-    ASSERT_TRUE(WriteFileBytes(snapshot_path, fresh));
-    WriteKeyList(keys_path, fresh_keys);
-  }
   std::string bytes;
-  ASSERT_TRUE(ReadFileBytes(snapshot_path, &bytes))
-      << "missing fixture " << snapshot_path
-      << " (run with HABF_REGEN_FIXTURES=1 to create)";
-  const std::vector<std::string> keys = ReadKeyList(keys_path);
-  ASSERT_FALSE(keys.empty());
-  EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
+  std::vector<std::string> keys;
+  LoadFixture("habf_legacy_v1", &bytes, &keys);
+  ExpectLoadsAndMigrates<Habf>(bytes, keys);
+}
 
-  const auto filter = Habf::Deserialize(bytes);
-  ASSERT_TRUE(filter.has_value());
-  for (const auto& key : keys) EXPECT_TRUE(filter->Contains(key)) << key;
-  std::string reserialized;
-  filter->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes) << "legacy re-serialization drifted";
-  std::string hbf1;
-  filter->Serialize(&hbf1, SnapshotFormat::kHbf1);
-  ASSERT_TRUE(SectionReader::LooksLikeContainer(hbf1));
-  const auto migrated = Habf::Deserialize(hbf1);
-  ASSERT_TRUE(migrated.has_value());
-  for (const auto& key : keys) EXPECT_TRUE(migrated->Contains(key)) << key;
+TEST(FormatCompat, XorfLegacyFixtureLoadsBitExact) {
+  std::string bytes;
+  std::vector<std::string> keys;
+  LoadFixture("xorf_legacy_v1", &bytes, &keys);
+  ASSERT_EQ(MagicOf(bytes), FourCc("XORF"));
+  ExpectLoadsAndMigrates<XorFilter>(bytes, keys);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // histogram's bucketing and percentile math (exact below 64, <= ~1.6%
 // relative error above, merge additivity), the closed-loop invariant that
 // in-flight depth never exceeds the window (driven against a real loopback
-// server), and the deterministic WorkloadStreamKey stream the generator
+// server), the --mutate-rate mix of durable writes into that loop, and the
+// deterministic WorkloadStreamKey stream the generator
 // shares with src/workload — which is what makes `--expect-members N` a
 // wire-level one-sidedness check rather than a guess.
 
@@ -15,13 +16,16 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/dynamic_filter.h"
 #include "core/filter_store.h"
 #include "core/habf.h"
 #include "core/sharded_filter.h"
@@ -296,6 +300,95 @@ TEST_F(LoadgenServerTest, OpenLoopPacesAndReportsDepth) {
   EXPECT_LE(report.requests_sent, 2 * (500 + 2));
 }
 
+TEST_F(LoadgenServerTest, MutationsAgainstAStaticBackendFailTheRun) {
+  LoadgenOptions options;
+  options.port = server_->port();
+  options.keys_per_request = 4;
+  options.duration = std::chrono::milliseconds(100);
+  options.key_seed = kSeed;
+  options.key_space = kMembers;
+  options.mutate_rate = 0.5;
+  LoadgenReport report;
+  std::string error;
+  EXPECT_FALSE(RunLoadgen(options, &report, &error));
+  EXPECT_NE(error.find("mutation refused"), std::string::npos) << error;
+  EXPECT_EQ(report.mutations_acked, 0u);
+}
+
+// --- mixed read/write load against the durable dynamic tier -----------------
+
+TEST(LoadgenMutationTest, MutateRateMixesDurableWritesIntoTheClosedLoop) {
+  constexpr uint64_t kSeed = 7;
+  constexpr uint64_t kMembers = 2000;
+  const std::string dir = ::testing::TempDir() + "loadgen_mutate_rate_wal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> members;
+  for (uint64_t i = 0; i < kMembers; ++i) {
+    members.push_back(WorkloadStreamKey(kSeed, i));
+  }
+  HabfOptions options;
+  options.total_bits = 1 << 16;
+  ShardedBuildOptions sharding;
+  sharding.num_shards = 4;
+  DynamicOptions dynamic;
+  dynamic.dirty_fraction_threshold = 0.0;  // every mutated shard compacts
+  auto filter = std::make_unique<DynamicShardedHabf>(
+      members, std::vector<WeightedKey>{}, options, sharding, dynamic);
+  std::string error;
+  ASSERT_TRUE(filter->EnableDurability(dir, &error)) << error;
+  filter->StartBackgroundCompaction(std::chrono::milliseconds(5));
+
+  DynamicBackend backend(filter.get());
+  Server server(&backend, ServerOptions{});
+  ASSERT_TRUE(server.Start(&error)) << error;
+  LoadgenOptions load;
+  load.port = server.port();
+  load.connections = 2;
+  load.keys_per_request = 8;
+  load.max_in_flight = 4;
+  load.duration = std::chrono::milliseconds(400);
+  load.key_seed = kSeed;
+  load.key_space = kMembers;
+  load.expect_members = kMembers;
+  load.mutate_rate = 0.25;
+  LoadgenReport report;
+  const bool ok = RunLoadgen(load, &report, &error);
+  server.Shutdown();
+  filter->StopBackgroundCompaction();
+  ASSERT_TRUE(ok) << error;
+
+  // Every fourth request was a mutation frame, every one fully acked, and
+  // the queries around them (and across live compactions) stayed one-sided.
+  EXPECT_EQ(report.responses_received, report.requests_sent);
+  ASSERT_GT(report.mutations_acked, 0u);
+  EXPECT_LE(report.mutations_acked * 4, report.responses_received);
+  EXPECT_GE(report.mutations_acked * 4 + 4 * load.connections,
+            report.responses_received);
+  EXPECT_EQ(report.keys_mutated, report.mutations_acked * 8);
+  EXPECT_EQ(report.mutation_latency_ns.count(), report.mutations_acked);
+  EXPECT_EQ(report.latency_ns.count(),
+            report.responses_received - report.mutations_acked);
+  EXPECT_EQ(report.keys_queried, report.latency_ns.count() * 8);
+  EXPECT_EQ(report.false_negatives, 0u);
+  uint64_t server_keys_mutated = 0;
+  for (const auto& entry : report.server_stats) {
+    if (entry.first == "keys_mutated") server_keys_mutated = entry.second;
+  }
+  EXPECT_EQ(server_keys_mutated, report.keys_mutated);
+
+  // Drop the filter without a checkpoint: recovery replays the WAL and the
+  // stream members still all answer.
+  filter.reset();
+  auto recovered = DynamicShardedHabf::Open(dir, dynamic, &error);
+  ASSERT_NE(recovered, nullptr) << error;
+  for (const std::string& key : members) {
+    ASSERT_TRUE(recovered->MightContain(key)) << key;
+  }
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // --- coordinated-omission correction ----------------------------------------
 
 /// A single-connection HNP1 responder that answers every query all-positive
@@ -449,6 +542,22 @@ TEST(LoadgenTransportTest, RefusedConnectionFailsCleanly) {
   EXPECT_FALSE(RunLoadgen(options, &report, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(report.responses_received, 0u);
+}
+
+TEST(LoadgenTransportTest, MutateRateOutsideUnitIntervalIsRejected) {
+  // Rejected before any connection is attempted, and named in the error.
+  for (const double bad : {-0.1, 1.5, std::nan(""), HUGE_VAL}) {
+    LoadgenOptions options;
+    options.port = 1;
+    options.mutate_rate = bad;
+    LoadgenReport report;
+    std::string error;
+    EXPECT_FALSE(RunLoadgen(options, &report, &error)) << bad;
+    EXPECT_NE(error.find("mutate_rate must be a fraction in [0, 1]"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(report.requests_sent, 0u);
+  }
 }
 
 }  // namespace

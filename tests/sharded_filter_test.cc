@@ -564,10 +564,9 @@ ShardedFilter<Habf> BuildTwoChoice(size_t shards, size_t threads) {
                           BaseOptions(), sharding);
 }
 
-uint32_t SnapshotMagic(const ShardedFilter<Habf>& filter,
-                       SnapshotFormat format = SnapshotFormat::kHbf1) {
+uint32_t SnapshotMagic(const ShardedFilter<Habf>& filter) {
   std::string bytes;
-  filter.Serialize(&bytes, format);
+  filter.Serialize(&bytes);
   uint32_t magic = 0;
   std::memcpy(&magic, bytes.data(), 4);
   return magic;
@@ -640,11 +639,8 @@ TEST(ShardedFilterTest, TwoChoiceThreadCountDoesNotChangeTheFilter) {
 
 TEST(ShardedFilterTest, TwoChoiceSnapshotRoundTripsBitIdentically) {
   const auto original = BuildTwoChoice(4, 2);
-  // The default writer is the sectioned HBF1 container (DESIGN.md §10); the
-  // legacy SHR2 framing stays available behind SnapshotFormat::kLegacy.
+  // The writer is the sectioned HBF1 container (DESIGN.md §10).
   EXPECT_EQ(SnapshotMagic(original), kContainerMagic);
-  EXPECT_EQ(SnapshotMagic(original, SnapshotFormat::kLegacy),
-            kShardedSnapshotMagicV2);
 
   std::string bytes;
   original.Serialize(&bytes);
@@ -668,24 +664,6 @@ TEST(ShardedFilterTest, TwoChoiceSnapshotRoundTripsBitIdentically) {
     const std::string probe = "shr2-probe-" + std::to_string(i);
     EXPECT_EQ(original.MightContain(probe), restored->MightContain(probe));
   }
-}
-
-TEST(ShardedFilterTest, UniformSnapshotStaysLegacyShrdAndLoadsBitExactly) {
-  // Under SnapshotFormat::kLegacy a uniform-routed filter keeps writing the
-  // pre-routing SHRD framing, and a legacy snapshot round-trips
-  // byte-for-byte — old snapshot files stay loadable and re-savable forever
-  // (the golden-fixture gate in tests/format_compat_test.cc pins the bytes).
-  const auto uniform = BuildSharded(4, 2);
-  EXPECT_EQ(SnapshotMagic(uniform, SnapshotFormat::kLegacy),
-            kShardedSnapshotMagic);
-  std::string bytes;
-  uniform.Serialize(&bytes, SnapshotFormat::kLegacy);
-  const auto restored = ShardedFilter<Habf>::Deserialize(bytes);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->routing(), RoutingMode::kUniform);
-  std::string reserialized;
-  restored->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes);
 }
 
 TEST(ShardedFilterTest, TwoChoiceMatchesUniformGuaranteesAtZeroSkew) {
@@ -715,9 +693,9 @@ TEST(ShardedFilterTest, TwoChoiceMatchesUniformGuaranteesAtZeroSkew) {
       << "uniform=" << fpr_uniform << " two-choice=" << fpr_two_choice;
 }
 
-TEST(ShardedFilterTest, TwoChoiceSingleShardWritesLegacyFormat) {
-  // With one shard routing is irrelevant; no directory is built and the
-  // legacy-format snapshot stays the SHRD framing.
+TEST(ShardedFilterTest, TwoChoiceSingleShardBuildsNoDirectory) {
+  // With one shard routing is irrelevant: no directory is built, and the
+  // snapshot carries no RDIR section.
   ShardedBuildOptions sharding;
   sharding.num_shards = 1;
   sharding.num_threads = 1;
@@ -725,8 +703,12 @@ TEST(ShardedFilterTest, TwoChoiceSingleShardWritesLegacyFormat) {
   const auto filter = BuildShardedHabf(
       SharedData().positives, SharedData().negatives, BaseOptions(), sharding);
   EXPECT_EQ(filter.routing(), RoutingMode::kUniform);
-  EXPECT_EQ(SnapshotMagic(filter, SnapshotFormat::kLegacy),
-            kShardedSnapshotMagic);
+  EXPECT_TRUE(filter.directory().empty());
+  std::string bytes;
+  filter.Serialize(&bytes);
+  const std::optional<SectionReader> container = SectionReader::Parse(bytes);
+  ASSERT_TRUE(container.has_value());
+  EXPECT_FALSE(container->Find(kShardedRoutingTag).has_value());
 }
 
 TEST(ShardedFilterTest, RoutingBucketCountClampedToShardCount) {

@@ -3,7 +3,8 @@
 // abort, or allocate absurdly — Deserialize either rejects the bytes or
 // returns a filter whose queries run safely. Also drives crafted hostile
 // headers (NaN/Inf delta, absurd total_bits) at the field offsets of the
-// version-1 format.
+// version-1 format. Nothing writes the legacy formats any more, so their
+// readers are fuzzed over the committed golden fixtures in tests/data/.
 
 #include <gtest/gtest.h>
 
@@ -17,26 +18,31 @@
 #include "core/habf.h"
 #include "core/sharded_filter.h"
 #include "util/rng.h"
+#include "util/serde.h"
 #include "workload/dataset.h"
+
+#ifndef HABF_TEST_DATA_DIR
+#error "snapshot_fuzz_test requires the HABF_TEST_DATA_DIR compile definition"
+#endif
 
 namespace habf {
 namespace {
 
-// Version-1 *legacy* HABF snapshot header offsets (Habf::Serialize with
-// SnapshotFormat::kLegacy): magic u32, version u32, total_bits u64, delta
-// f64, k u64, cell_bits u8, fast u8, seed u64, then the variable-length
-// payload. The hostile-field tests below patch at these offsets, so they
-// must drive the legacy writer — under the HBF1 default every field lives
-// inside a CRC-guarded section and a patch is caught as a checksum error
-// before field validation even runs (covered separately further down).
+// Version-1 *legacy* HABF snapshot header offsets: magic u32, version u32,
+// total_bits u64, delta f64, k u64, cell_bits u8, fast u8, seed u64, then
+// the variable-length payload. The hostile-field tests below patch at these
+// offsets, so they must drive the legacy fixture — under HBF1 every field
+// lives inside a CRC-guarded section and a patch is caught as a checksum
+// error before field validation even runs (covered separately further
+// down).
 constexpr size_t kOffTotalBits = 8;
 constexpr size_t kOffDelta = 16;
 constexpr size_t kOffK = 24;
 
-// Legacy SHR2 sharded snapshot header offsets (ShardedFilter::Serialize,
-// two-choice framing): magic u32, version u32, salt u64, num_shards u32,
-// num_buckets u32, then num_buckets x u16 directory entries, num_shards x
-// f64 routed weights, and the per-shard sub-snapshots.
+// Legacy SHR2 sharded snapshot header offsets (two-choice framing): magic
+// u32, version u32, salt u64, num_shards u32, num_buckets u32, then
+// num_buckets x u16 directory entries, num_shards x f64 routed weights, and
+// the per-shard sub-snapshots.
 constexpr size_t kOffShardCount = 16;
 constexpr size_t kOffBucketCount = 20;
 constexpr size_t kOffDirectory = 24;
@@ -52,17 +58,38 @@ const Dataset& SharedData() {
   return data;
 }
 
-std::string HabfSnapshot(SnapshotFormat format = SnapshotFormat::kHbf1) {
+/// A committed legacy golden fixture (tests/format_compat_test.cc): 128
+/// keys, 2^14 bits; the sharded ones have 4 shards, the SHR2 one a
+/// 4096-bucket directory.
+std::string LegacyFixture(const char* name) {
+  std::string bytes;
+  EXPECT_TRUE(
+      ReadFileBytes(std::string(HABF_TEST_DATA_DIR) + "/" + name, &bytes))
+      << name;
+  return bytes;
+}
+
+std::string LegacyHabfSnapshot() {
+  return LegacyFixture("habf_legacy_v1.snapshot");
+}
+std::string LegacyShardedSnapshot() {
+  return LegacyFixture("shrd_uniform_v1.snapshot");
+}
+std::string LegacyTwoChoiceSnapshot() {
+  return LegacyFixture("shr2_two_choice_v2.snapshot");
+}
+
+std::string HabfSnapshot() {
   HabfOptions options;
   options.total_bits = 2000 * 10;
   const Habf filter =
       Habf::Build(SharedData().positives, SharedData().negatives, options);
   std::string bytes;
-  filter.Serialize(&bytes, format);
+  filter.Serialize(&bytes);
   return bytes;
 }
 
-std::string ShardedSnapshot(SnapshotFormat format = SnapshotFormat::kHbf1) {
+std::string ShardedSnapshot() {
   HabfOptions options;
   options.total_bits = 2000 * 10;
   ShardedBuildOptions sharding;
@@ -72,14 +99,14 @@ std::string ShardedSnapshot(SnapshotFormat format = SnapshotFormat::kHbf1) {
                                        SharedData().negatives, options,
                                        sharding);
   std::string bytes;
-  filter.Serialize(&bytes, format);
+  filter.Serialize(&bytes);
   return bytes;
 }
 
-/// A two-choice (SHR2-framed when legacy) snapshot: same build sets, small
-/// directory so the truncation fuzz spends iterations on every region
-/// (header, directory, weights, sub-snapshots).
-std::string TwoChoiceSnapshot(SnapshotFormat format = SnapshotFormat::kHbf1) {
+/// A two-choice snapshot: same build sets, small directory so the
+/// truncation fuzz spends iterations on every region (header, directory,
+/// sub-snapshots).
+std::string TwoChoiceSnapshot() {
   HabfOptions options;
   options.total_bits = 2000 * 10;
   ShardedBuildOptions sharding;
@@ -91,7 +118,7 @@ std::string TwoChoiceSnapshot(SnapshotFormat format = SnapshotFormat::kHbf1) {
                                        SharedData().negatives, options,
                                        sharding);
   std::string bytes;
-  filter.Serialize(&bytes, format);
+  filter.Serialize(&bytes);
   return bytes;
 }
 
@@ -150,41 +177,41 @@ void PatchDouble(std::string* bytes, size_t offset, double value) {
 
 TEST(SnapshotFuzzTest, HabfTruncationsNeverCrash) {
   FuzzTruncations(HabfSnapshot(), Habf::Deserialize);
-  FuzzTruncations(HabfSnapshot(SnapshotFormat::kLegacy), Habf::Deserialize);
+  FuzzTruncations(LegacyHabfSnapshot(), Habf::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, HabfBitFlipsNeverCrash) {
   FuzzBitFlips(HabfSnapshot(), Habf::Deserialize);
-  FuzzBitFlips(HabfSnapshot(SnapshotFormat::kLegacy), Habf::Deserialize);
+  FuzzBitFlips(LegacyHabfSnapshot(), Habf::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, ShardedTruncationsNeverCrash) {
   FuzzTruncations(ShardedSnapshot(), ShardedFilter<Habf>::Deserialize);
-  FuzzTruncations(ShardedSnapshot(SnapshotFormat::kLegacy),
+  FuzzTruncations(LegacyShardedSnapshot(),
                   ShardedFilter<Habf>::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, ShardedBitFlipsNeverCrash) {
   FuzzBitFlips(ShardedSnapshot(), ShardedFilter<Habf>::Deserialize);
-  FuzzBitFlips(ShardedSnapshot(SnapshotFormat::kLegacy),
+  FuzzBitFlips(LegacyShardedSnapshot(),
                ShardedFilter<Habf>::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, TwoChoiceTruncationsNeverCrash) {
   FuzzTruncations(TwoChoiceSnapshot(), ShardedFilter<Habf>::Deserialize);
-  FuzzTruncations(TwoChoiceSnapshot(SnapshotFormat::kLegacy),
+  FuzzTruncations(LegacyTwoChoiceSnapshot(),
                   ShardedFilter<Habf>::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, TwoChoiceBitFlipsNeverCrash) {
   FuzzBitFlips(TwoChoiceSnapshot(), ShardedFilter<Habf>::Deserialize);
-  FuzzBitFlips(TwoChoiceSnapshot(SnapshotFormat::kLegacy),
+  FuzzBitFlips(LegacyTwoChoiceSnapshot(),
                ShardedFilter<Habf>::Deserialize);
 }
 
 TEST(SnapshotFuzzTest, NonFiniteDeltaRejected) {
   for (double hostile : {std::nan(""), HUGE_VAL, -HUGE_VAL, 1e300}) {
-    std::string bytes = HabfSnapshot(SnapshotFormat::kLegacy);
+    std::string bytes = LegacyHabfSnapshot();
     PatchDouble(&bytes, kOffDelta, hostile);
     EXPECT_FALSE(Habf::Deserialize(bytes).has_value()) << hostile;
   }
@@ -194,7 +221,7 @@ TEST(SnapshotFuzzTest, AbsurdTotalBitsRejected) {
   for (uint64_t hostile :
        {uint64_t{0}, uint64_t{63}, uint64_t{1} << 40, uint64_t{1} << 62,
         ~uint64_t{0}}) {
-    std::string bytes = HabfSnapshot(SnapshotFormat::kLegacy);
+    std::string bytes = LegacyHabfSnapshot();
     PatchU64(&bytes, kOffTotalBits, hostile);
     EXPECT_FALSE(Habf::Deserialize(bytes).has_value()) << hostile;
   }
@@ -203,7 +230,7 @@ TEST(SnapshotFuzzTest, AbsurdTotalBitsRejected) {
 TEST(SnapshotFuzzTest, AbsurdKRejected) {
   for (uint64_t hostile : {uint64_t{0}, uint64_t{17}, uint64_t{255},
                            uint64_t{1} << 33}) {
-    std::string bytes = HabfSnapshot(SnapshotFormat::kLegacy);
+    std::string bytes = LegacyHabfSnapshot();
     PatchU64(&bytes, kOffK, hostile);
     EXPECT_FALSE(Habf::Deserialize(bytes).has_value()) << hostile;
   }
@@ -212,7 +239,7 @@ TEST(SnapshotFuzzTest, AbsurdKRejected) {
 TEST(SnapshotFuzzTest, MismatchedPayloadSizesRejected) {
   // A plausible header over a payload sized for a different filter: the
   // word-count cross-check must reject it before allocating for the header.
-  std::string bytes = HabfSnapshot(SnapshotFormat::kLegacy);
+  std::string bytes = LegacyHabfSnapshot();
   PatchU64(&bytes, kOffTotalBits, uint64_t{1} << 30);
   EXPECT_FALSE(Habf::Deserialize(bytes).has_value());
 }
@@ -220,18 +247,16 @@ TEST(SnapshotFuzzTest, MismatchedPayloadSizesRejected) {
 TEST(SnapshotFuzzTest, TrailingGarbageRejected) {
   // Both framings reject trailing bytes — HBF1 because the section table
   // must consume the container exactly, legacy via its own end check.
-  for (const SnapshotFormat format :
-       {SnapshotFormat::kHbf1, SnapshotFormat::kLegacy}) {
-    const std::string habf_bytes = HabfSnapshot(format);
+  for (const std::string& habf_bytes : {HabfSnapshot(), LegacyHabfSnapshot()}) {
     EXPECT_FALSE(Habf::Deserialize(habf_bytes + "x").has_value());
     EXPECT_FALSE(
         Habf::Deserialize(habf_bytes + std::string(64, '\0')).has_value());
-    const std::string sharded_bytes = ShardedSnapshot(format);
+  }
+  for (const std::string& sharded_bytes :
+       {ShardedSnapshot(), TwoChoiceSnapshot(), LegacyShardedSnapshot(),
+        LegacyTwoChoiceSnapshot()}) {
     EXPECT_FALSE(
         ShardedFilter<Habf>::Deserialize(sharded_bytes + "x").has_value());
-    const std::string two_choice_bytes = TwoChoiceSnapshot(format);
-    EXPECT_FALSE(
-        ShardedFilter<Habf>::Deserialize(two_choice_bytes + "x").has_value());
   }
 }
 
@@ -244,10 +269,10 @@ TEST(SnapshotFuzzTest, EmptyAndTinyInputsRejected) {
 }
 
 TEST(SnapshotFuzzTest, OutOfRangeDirectoryShardIdRejected) {
-  // The snapshot was built with 3 shards; every directory entry naming
-  // shard >= 3 must be rejected before any shard sub-snapshot is parsed.
-  std::string bytes = TwoChoiceSnapshot(SnapshotFormat::kLegacy);
-  for (uint16_t hostile : {uint16_t{3}, uint16_t{255}, uint16_t{0xFFFF}}) {
+  // The fixture was built with 4 shards; every directory entry naming
+  // shard >= 4 must be rejected before any shard sub-snapshot is parsed.
+  std::string bytes = LegacyTwoChoiceSnapshot();
+  for (uint16_t hostile : {uint16_t{4}, uint16_t{255}, uint16_t{0xFFFF}}) {
     std::string mutated = bytes;
     std::memcpy(mutated.data() + kOffDirectory + 10 * 2, &hostile, 2);
     EXPECT_FALSE(ShardedFilter<Habf>::Deserialize(mutated).has_value())
@@ -259,7 +284,7 @@ TEST(SnapshotFuzzTest, HostileBucketCountsRejectedBeforeAllocation) {
   // Zero, beyond-bound, and payload-starved bucket counts must all fail in
   // the header check — a 4-billion-bucket claim over a few-KiB payload
   // cannot be allowed to size the directory vector first.
-  std::string bytes = TwoChoiceSnapshot(SnapshotFormat::kLegacy);
+  std::string bytes = LegacyTwoChoiceSnapshot();
   for (uint32_t hostile :
        {uint32_t{0}, static_cast<uint32_t>(kMaxRoutingBuckets + 1),
         uint32_t{1} << 24, ~uint32_t{0}}) {
@@ -276,7 +301,7 @@ TEST(SnapshotFuzzTest, HostileBucketCountsRejectedBeforeAllocation) {
 }
 
 TEST(SnapshotFuzzTest, HostileShardCountInShr2Rejected) {
-  std::string bytes = TwoChoiceSnapshot(SnapshotFormat::kLegacy);
+  std::string bytes = LegacyTwoChoiceSnapshot();
   for (uint32_t hostile : {uint32_t{0}, uint32_t{4097}, ~uint32_t{0}}) {
     std::string mutated = bytes;
     std::memcpy(mutated.data() + kOffShardCount, &hostile, 4);
@@ -286,9 +311,12 @@ TEST(SnapshotFuzzTest, HostileShardCountInShr2Rejected) {
 }
 
 TEST(SnapshotFuzzTest, NonFiniteRoutedWeightRejected) {
-  // The per-shard routed weights sit right after the 64-entry directory.
-  std::string bytes = TwoChoiceSnapshot(SnapshotFormat::kLegacy);
-  const size_t weights_offset = kOffDirectory + 64 * 2;
+  // The per-shard routed weights sit right after the directory.
+  std::string bytes = LegacyTwoChoiceSnapshot();
+  uint32_t num_buckets = 0;
+  std::memcpy(&num_buckets, bytes.data() + kOffBucketCount, 4);
+  ASSERT_EQ(num_buckets, 4096u);
+  const size_t weights_offset = kOffDirectory + size_t{num_buckets} * 2;
   for (double hostile : {std::nan(""), HUGE_VAL, -1.0}) {
     std::string mutated = bytes;
     PatchDouble(&mutated, weights_offset, hostile);
@@ -299,16 +327,18 @@ TEST(SnapshotFuzzTest, NonFiniteRoutedWeightRejected) {
 
 TEST(SnapshotFuzzTest, LegacyShrdSnapshotStillLoadsBitExactly) {
   // Backward compatibility is part of the format contract: the legacy
-  // framing must keep loading, and a load → save-as-legacy round trip must
-  // reproduce the exact legacy bytes (no lossy field). The committed golden
-  // fixtures in tests/format_compat_test.cc pin this across releases.
-  const std::string bytes = ShardedSnapshot(SnapshotFormat::kLegacy);
-  const auto restored = ShardedFilter<Habf>::Deserialize(bytes);
+  // framing keeps loading, with every shard and every member intact. The
+  // golden-fixture gate (tests/format_compat_test.cc) adds the HBF1
+  // migration check.
+  const auto restored =
+      ShardedFilter<Habf>::Deserialize(LegacyShardedSnapshot());
   ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->num_shards(), 3u);
-  std::string reserialized;
-  restored->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes);
+  EXPECT_EQ(restored->num_shards(), 4u);
+  EXPECT_EQ(restored->routing(), RoutingMode::kUniform);
+  for (int i = 0; i < 128; ++i) {
+    const std::string key = "compat-key-" + std::to_string(i);
+    EXPECT_TRUE(restored->MightContain(key)) << key;
+  }
 }
 
 // --- HBF1 container-level hostility (DESIGN.md §10) -------------------------
