@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local mirror of the tier-1 verify (and of .github/workflows/ci.yml):
-# configure + build + ctest.
+# configure + build + ctest (default mode also runs the perfbench unit tests).
 #
 # Usage: scripts/check.sh [Release|Debug] [--sanitize|--tsan|--thread-safety|--tidy]
 #   --sanitize builds into build-sanitize/ with ASan+UBSan
@@ -110,6 +110,12 @@ if [ "${run_tidy}" = 1 ]; then
   # TU. compile_commands.json is always exported (CMakeLists.txt).
   mapfile -t tidy_sources < <(find src -name '*.cc' | sort)
   clang-tidy -p "${build_dir}" --quiet "${tidy_sources[@]}"
+fi
+
+if [ "${mode}" = "default" ]; then
+  # The benchmark's own logic (metric names against BENCHMARK.json, the
+  # error tally, percentile support): plain Python, from the repo root.
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
 fi
 
 cd "${build_dir}"

@@ -120,15 +120,20 @@ bool ParseHandshake(std::string_view bytes, std::string* error) {
 
 void AppendFrame(std::string* out, uint64_t request_id, uint8_t op,
                  std::string_view payload) {
-  std::string body;
-  BinaryWriter body_writer(&body);
-  body_writer.WriteU64(request_id);
-  body_writer.WriteU8(op);
-  body.append(payload.data(), payload.size());
+  // The CRC covers the body, which follows it: write a placeholder, append
+  // the body, then patch in the CRC computed over the body in place.
+  const size_t header = out->size();
+  const uint32_t body_len =
+      static_cast<uint32_t>(kMinFrameBodyBytes + payload.size());
   BinaryWriter writer(out);
-  writer.WriteU32(static_cast<uint32_t>(body.size()));
-  writer.WriteU32(Crc32(body.data(), body.size()));
-  out->append(body);
+  writer.WriteU32(body_len);
+  writer.WriteU32(0);
+  writer.WriteU64(request_id);
+  writer.WriteU8(op);
+  out->append(payload.data(), payload.size());
+  const uint32_t crc =
+      Crc32(out->data() + header + kFrameHeaderBytes, body_len);
+  std::memcpy(&(*out)[header + 4], &crc, 4);
 }
 
 void AppendKeyBatchPayload(std::string* out, KeySpan keys) {

@@ -153,7 +153,8 @@ std::string EncodeHandshake();
 /// Validates an 8-byte hello. False with *error naming magic vs version.
 bool ParseHandshake(std::string_view bytes, std::string* error);
 
-/// Appends one complete frame (header + CRC'd body) to `*out`.
+/// Appends one complete frame (header + CRC'd body) to `*out`, in place.
+/// `payload` must not view `*out`: the append may reallocate it.
 void AppendFrame(std::string* out, uint64_t request_id, uint8_t op,
                  std::string_view payload);
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -904,6 +905,51 @@ int CmdServe(const Flags& flags, std::string* out, std::string* err) {
   return 0;
 }
 
+/// `inspect --snapshot PATH`, the flag form of `inspect PATH`.
+int CmdInspectFlags(const Flags& flags, std::string* out, std::string* err) {
+  const std::string* path = flags.GetOne("snapshot");
+  if (path == nullptr) {
+    *err += "inspect requires a snapshot path\n";
+    *err += kUsage;
+    return 1;
+  }
+  return CmdInspect(*path, out, err);
+}
+
+/// A command and the only flags it accepts: any other flag is rejected by
+/// name, so a stale or misspelled flag fails instead of being ignored.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&, std::string*, std::string*);
+  std::set<std::string> flags;
+};
+
+const Command* FindCommand(const std::string& name) {
+  static const Command kCommands[] = {
+      {"build",
+       CmdBuild,
+       {"positives", "out", "wal-dir", "negatives", "bits-per-key", "delta",
+        "k", "cell-bits", "fast", "shards", "threads", "routing",
+        "routing-buckets"}},
+      {"query",
+       CmdQuery,
+       {"filter", "key", "keys", "parallel-batch", "threads"}},
+      {"stats", CmdStats, {"filter", "port", "host"}},
+      {"eval", CmdEval, {"filter", "negatives"}},
+      {"inspect", CmdInspectFlags, {"snapshot"}},
+      {"generate",
+       CmdGenerate,
+       {"dataset", "positives", "negatives", "count", "seed", "zipf"}},
+      {"serve",
+       CmdServe,
+       {"snapshot", "wal-dir", "port", "port-file", "workers", "duration-ms"}},
+  };
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 int RunCli(const std::vector<std::string>& args, std::string* out,
@@ -912,36 +958,30 @@ int RunCli(const std::vector<std::string>& args, std::string* out,
     *err += kUsage;
     return 1;
   }
-  const std::string& command = args[0];
-  if (command == "inspect") {
-    // inspect takes one positional path (also accepted as --snapshot PATH).
-    if (args.size() == 2 && args[1].rfind("--", 0) != 0) {
-      return CmdInspect(args[1], out, err);
-    }
-    auto inspect_flags = ParseFlags(args, 1, err);
-    const std::string* path =
-        inspect_flags.has_value() ? inspect_flags->GetOne("snapshot") : nullptr;
-    if (path == nullptr) {
-      *err += "inspect requires a snapshot path\n";
-      *err += kUsage;
-      return 1;
-    }
-    return CmdInspect(*path, out, err);
+  const std::string& name = args[0];
+  // inspect also takes its snapshot as one positional path.
+  if (name == "inspect" && args.size() == 2 && args[1].rfind("--", 0) != 0) {
+    return CmdInspect(args[1], out, err);
+  }
+  const Command* command = FindCommand(name);
+  if (command == nullptr) {
+    *err += "unknown command: " + name + "\n";
+    *err += kUsage;
+    return 1;
   }
   auto flags = ParseFlags(args, 1, err);
   if (!flags.has_value()) {
     *err += kUsage;
     return 1;
   }
-  if (command == "build") return CmdBuild(*flags, out, err);
-  if (command == "query") return CmdQuery(*flags, out, err);
-  if (command == "stats") return CmdStats(*flags, out, err);
-  if (command == "eval") return CmdEval(*flags, out, err);
-  if (command == "generate") return CmdGenerate(*flags, out, err);
-  if (command == "serve") return CmdServe(*flags, out, err);
-  *err += "unknown command: " + command + "\n";
-  *err += kUsage;
-  return 1;
+  for (const auto& flag : flags->values) {
+    if (command->flags.count(flag.first) == 0) {
+      *err += "unknown flag --" + flag.first + " for " + name + "\n";
+      *err += kUsage;
+      return 1;
+    }
+  }
+  return command->run(*flags, out, err);
 }
 
 }  // namespace cli

@@ -136,6 +136,40 @@ TEST_F(CliTest, UsageErrors) {
       << "filter file does not exist yet";
 }
 
+TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotTake) {
+  // One flag another command (or an older build) accepts, per command: each
+  // fails by name before any file is read or written.
+  struct Case {
+    std::vector<std::string> args;
+    std::string rejected;
+  };
+  const Case cases[] = {
+      {{"build", "--positives", positives_path_, "--out", filter_path_,
+        "--snapshot-format", "legacy"},
+       "snapshot-format"},
+      {{"query", "--filter", filter_path_, "--key", "k", "--fast"}, "fast"},
+      {{"stats", "--filter", filter_path_, "--workers", "2"}, "workers"},
+      {{"eval", "--filter", filter_path_, "--negatives", negatives_path_,
+        "--bits-per-key", "10"},
+       "bits-per-key"},
+      {{"inspect", "--snapshot", filter_path_, "--filter", filter_path_},
+       "filter"},
+      {{"generate", "--dataset", "shalla", "--positives", positives_path_,
+        "--negatives", negatives_path_, "--out", filter_path_},
+       "out"},
+      {{"serve", "--snapshot", filter_path_, "--threads", "2"}, "threads"},
+  };
+  for (const Case& c : cases) {
+    const std::string& command = c.args[0];
+    EXPECT_EQ(Run(c.args), 1) << command;
+    EXPECT_NE(err_.find("unknown flag --" + c.rejected + " for " + command),
+              std::string::npos)
+        << command << ": " << err_;
+    EXPECT_TRUE(out_.empty()) << command << ": " << out_;
+  }
+  EXPECT_FALSE(std::filesystem::exists(filter_path_));
+}
+
 TEST_F(CliTest, IoErrors) {
   EXPECT_EQ(Run({"build", "--positives", dir_ + "/nope.txt", "--out",
                  filter_path_}),

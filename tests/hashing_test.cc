@@ -182,6 +182,85 @@ TEST(Crc32Test, MatchesKnownVector) {
 
 TEST(Crc32Test, EmptyInputIsZero) { EXPECT_EQ(Crc32("", 0, 0), 0u); }
 
+// The bit-serial definition of the reflected IEEE CRC-32: the oracle that
+// the table-driven Crc32 must match bit for bit.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t init) {
+  uint32_t crc = ~init;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBitSerialReferenceAtEveryLengthOffsetAndInit) {
+  constexpr size_t kBig = size_t{64} << 10;
+  const std::vector<uint8_t> buffer = RandomBytes(kBig + 8, 11);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 1024; ++len) lengths.push_back(len);
+  lengths.push_back(kBig);
+  // Offsets 0..7 put the 8-byte loads at every alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (const uint32_t init : {0u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
+      for (const size_t len : lengths) {
+        const uint8_t* p = buffer.data() + offset;
+        ASSERT_EQ(Crc32(p, len, init), ReferenceCrc32(p, len, init))
+            << "len=" << len << " offset=" << offset << " init=" << init;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainingEqualsOneCallOverTheConcatenation) {
+  const std::vector<uint8_t> buffer = RandomBytes(300, 12);
+  for (const uint32_t init : {0u, 0xDEADBEEFu}) {
+    const uint32_t whole = Crc32(buffer.data(), buffer.size(), init);
+    for (size_t split = 0; split <= buffer.size(); ++split) {
+      const uint32_t head = Crc32(buffer.data(), split, init);
+      EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head),
+                whole)
+          << "split=" << split << " init=" << init;
+    }
+  }
+}
+
+TEST(Crc32Test, FamilyAdapterOutputsArePinned) {
+  // crc32 is a Table II member, so a changed value here moves HABF bit
+  // positions and invalidates every stored filter whose H0 or
+  // HashExpressor uses it.
+  const std::string long_key = std::string(100, 'x') + "tail";
+  struct Case {
+    std::string key;
+    uint64_t seed;
+    uint64_t expected;
+  };
+  const Case cases[] = {
+      {"", 7, 0x6021D909064FFC2Full},
+      {"a", 0, 0x8623593A6BF721B4ull},
+      {"a", 0x9E3779B97F4A7C15ull, 0x733490DAC67C249Dull},
+      {"123456789", 0, 0xC0BF9BAD93C864B9ull},
+      {"123456789", 7, 0x5C1A286B5D8A3E60ull},
+      {"habf-key-000000000001-zipfa", 0, 0x96FD7B378AA1FF91ull},
+      {"habf-key-000000000001-zipfa", 0x9E3779B97F4A7C15ull,
+       0x7D80FD5AE4E6F252ull},
+      {long_key, 7, 0xF3937FAE2B755B24ull},
+      {long_key, 0x9E3779B97F4A7C15ull, 0x9378B368CFB7984Bull},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(Crc32Hash(c.key.data(), c.key.size(), c.seed), c.expected)
+        << "key='" << c.key << "' seed=" << c.seed;
+  }
+}
+
 TEST(Fmix64Test, IsBijectiveOnSamples) {
   // fmix64 is invertible; distinct inputs must give distinct outputs.
   std::set<uint64_t> outputs;

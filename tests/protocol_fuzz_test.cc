@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -55,6 +56,41 @@ FrameDecoder::Status DrainFrames(FrameDecoder* decoder,
     frames->push_back(
         {frame.request_id, frame.op, std::string(frame.payload)});
   }
+}
+
+// --- encoder: golden wire bytes ---------------------------------------------
+
+std::string Bytes(std::initializer_list<uint8_t> bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
+// Pinned wire bytes: a change to the framing or the CRC that alters a
+// single byte breaks every peer built before it, and fails here by name.
+TEST(FrameEncoding, QueryFrameBytesAreGolden) {
+  const std::string expected = Bytes({
+      0x27, 0x00, 0x00, 0x00,                          // body length 39
+      0xBF, 0xB8, 0xAC, 0x59,                          // CRC-32 of the body
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // request id
+      0x01,                                            // kOpQuery
+      0x03, 0x00, 0x00, 0x00,                          // 3 keys
+      0x05, 0x00, 0x00, 0x00, 0x61, 0x6C, 0x70, 0x68, 0x61,  // "alpha"
+      0x04, 0x00, 0x00, 0x00, 0x62, 0x65, 0x74, 0x61,        // "beta"
+      0x05, 0x00, 0x00, 0x00, 0x67, 0x61, 0x6D, 0x6D, 0x61,  // "gamma"
+  });
+  EXPECT_EQ(EncodeQueryFrame(0x0102030405060708ull, {"alpha", "beta", "gamma"}),
+            expected);
+}
+
+TEST(FrameEncoding, StatsFrameBytesAreGoldenAndAppendKeepsThePrefix) {
+  const std::string expected = Bytes({
+      0x09, 0x00, 0x00, 0x00,                          // body length 9
+      0x30, 0x89, 0xB2, 0x6F,                          // CRC-32 of the body
+      0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // request id 42
+      0x07,                                            // kOpStats
+  });
+  std::string out = "prefix";
+  AppendFrame(&out, 42, kOpStats, std::string_view());
+  EXPECT_EQ(out, "prefix" + expected);
 }
 
 // --- decoder: truncation, corruption, splits --------------------------------
