@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local mirror of the tier-1 verify (and of .github/workflows/ci.yml):
-# configure + build + ctest (default mode also runs the perfbench unit tests).
+# configure + build + ctest (default mode also runs the perfbench unit tests
+# and compiles perfbench/).
 #
 # Usage: scripts/check.sh [Release|Debug] [--sanitize|--tsan|--thread-safety|--tidy]
 #   --sanitize builds into build-sanitize/ with ASan+UBSan
@@ -116,6 +117,10 @@ if [ "${mode}" = "default" ]; then
   # The benchmark's own logic (metric names against BENCHMARK.json, the
   # error tally, percentile support): plain Python, from the repo root.
   python3 -m unittest discover -s perfbench -p 'test_*.py'
+  # The benchmark's C++ uses the library's API: compile it (Release only,
+  # its own tree) so a change that breaks it fails here.
+  cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perfbench -j "$(nproc)"
 fi
 
 cd "${build_dir}"

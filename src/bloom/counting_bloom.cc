@@ -15,16 +15,18 @@ CountingBloomFilter::CountingBloomFilter(size_t num_counters, size_t k,
 }
 
 void CountingBloomFilter::Add(std::string_view key) {
+  const DoubleHashProvider::Digests d = provider_.DigestsOf(key);
   for (size_t i = 0; i < k_; ++i) {
-    const size_t pos = Position(key, i);
+    const size_t pos = Position(d, i);
     const uint64_t c = CounterAt(pos);
     if (c < kCounterMax) SetCounter(pos, c + 1);
   }
 }
 
 void CountingBloomFilter::Remove(std::string_view key) {
+  const DoubleHashProvider::Digests d = provider_.DigestsOf(key);
   for (size_t i = 0; i < k_; ++i) {
-    const size_t pos = Position(key, i);
+    const size_t pos = Position(d, i);
     const uint64_t c = CounterAt(pos);
     // Saturated counters must stay (we no longer know the true count);
     // decrementing them could introduce false negatives elsewhere. Zero
@@ -36,8 +38,9 @@ void CountingBloomFilter::Remove(std::string_view key) {
 }
 
 bool CountingBloomFilter::MightContain(std::string_view key) const {
+  const DoubleHashProvider::Digests d = provider_.DigestsOf(key);
   for (size_t i = 0; i < k_; ++i) {
-    if (CounterAt(Position(key, i)) == 0) return false;
+    if (CounterAt(Position(d, i)) == 0) return false;
   }
   return true;
 }

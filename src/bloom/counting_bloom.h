@@ -56,15 +56,18 @@ class CountingBloomFilter {
   /// Fraction of non-zero counters (diagnostic).
   double FillRatio() const;
 
- private:
+  /// Value of counter `idx` (diagnostic, tests).
   uint64_t CounterAt(size_t idx) const {
     return counters_.GetField(idx * kCounterBits, kCounterBits);
   }
+
+ private:
   void SetCounter(size_t idx, uint64_t value) {
     counters_.SetField(idx * kCounterBits, kCounterBits, value);
   }
-  size_t Position(std::string_view key, size_t i) const {
-    return static_cast<size_t>(provider_.Value(key, i) % num_counters_);
+  /// Position of probe `i` of a key whose digests are `d`.
+  size_t Position(const DoubleHashProvider::Digests& d, size_t i) const {
+    return static_cast<size_t>(d.Value(i) % num_counters_);
   }
 
   size_t num_counters_;

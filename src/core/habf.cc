@@ -1,12 +1,12 @@
 #include "core/habf.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <deque>
 #include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "util/rng.h"
@@ -22,6 +22,16 @@ namespace {
 constexpr int kMaxAttemptsPerKey = 3;
 
 constexpr uint64_t kEntrySeed = 0x66656E7472794AULL;  // HashExpressor f
+
+/// The builder keeps Bloom positions and HashExpressor entry cells in 32-bit
+/// tables, so both index spaces must stay below this (DESIGN.md §3).
+constexpr size_t kMaxBuildIndexSpace = size_t{1} << 32;
+
+/// How many keys ahead the build passes prefetch: the bytes of the key this
+/// far ahead in the passes that hash keys in order; in the V pass, the V
+/// cells of the key this far ahead and the position row of the key twice
+/// as far.
+constexpr size_t kPrefetchDistance = 8;
 
 std::unique_ptr<HashProvider> MakeProvider(const HabfOptions& options,
                                            size_t usable_fns) {
@@ -120,7 +130,7 @@ class Habf::Builder {
         k_(habf.options_.k),
         v_keyid_(habf.bloom_.num_bits(), kNull),
         v_single_(habf.bloom_.num_bits(), 1),
-        phi_(positives.size()),
+        phi_(positives.size() * k_),
         adjusted_(positives.size(), 0),
         neg_state_(negatives.size(), NegState::kNegative),
         attempts_(negatives.size(), 0) {
@@ -160,12 +170,32 @@ class Habf::Builder {
     return habf_.bloom_.PositionOf(key, fn);
   }
 
-  /// Distinct Bloom-filter positions of `key` under subset `fns`.
-  size_t DistinctPositions(std::string_view key, const uint8_t* fns, size_t n,
-                           size_t* out) const {
+  /// Bloom-filter positions of `key` under the k-subset `fns`, in subset
+  /// order: one provider call for all k (BloomFilter::AddWith's formula).
+  /// 32 bits suffice: Build refuses a Bloom side of 2^32 bits or more.
+  void PositionsOf(std::string_view key, const uint8_t* fns,
+                   uint32_t* out) const {
+    uint64_t values[16];
+    habf_.provider_->Values(key, fns, k_, values);
+    for (size_t i = 0; i < k_; ++i) {
+      out[i] = static_cast<uint32_t>(values[i] % habf_.bloom_.num_bits());
+    }
+  }
+
+  /// True when every one of the k bits at `positions` is set.
+  bool AllSet(const uint32_t* positions) const {
+    for (size_t i = 0; i < k_; ++i) {
+      if (!habf_.bloom_.GetBit(positions[i])) return false;
+    }
+    return true;
+  }
+
+  /// Copies the distinct values of `positions[0..k)` to `out`, in first
+  /// occurrence order; returns their count.
+  size_t Distinct(const uint32_t* positions, size_t* out) const {
     size_t count = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = PosOf(key, fns[i]);
+    for (size_t i = 0; i < k_; ++i) {
+      const size_t p = positions[i];
       bool seen = false;
       for (size_t j = 0; j < count; ++j) {
         if (out[j] == p) {
@@ -176,6 +206,30 @@ class Habf::Builder {
       if (!seen) out[count++] = p;
     }
     return count;
+  }
+
+  /// φ(es) of positive `es`: its current k-subset.
+  uint8_t* Phi(size_t es) { return &phi_[es * k_]; }
+  const uint8_t* Phi(size_t es) const { return &phi_[es * k_]; }
+
+  /// Negative `neg_idx`'s row of the probe table: its k H0 positions, then
+  /// its HashExpressor entry cell.
+  const uint32_t* NegProbes(int32_t neg_idx) const {
+    return &neg_probes_[static_cast<size_t>(neg_idx) * (k_ + 1)];
+  }
+
+  /// Prefetches, for writing, every V cell a VInsert of `positions[0..k)`
+  /// will touch.
+  void PrefetchV(const uint32_t* positions) const {
+    for (size_t i = 0; i < k_; ++i) {
+      const uint32_t unit = positions[i];
+      __builtin_prefetch(&v_single_[unit], 1);
+      __builtin_prefetch(&v_keyid_[unit], 1);
+      if (!v_count_.empty()) {
+        __builtin_prefetch(&v_count_[unit], 1);
+        __builtin_prefetch(&v_keyid2_[unit], 1);
+      }
+    }
   }
 
   void VInsert(size_t unit, int32_t key_idx) {
@@ -229,16 +283,17 @@ class Habf::Builder {
   void ProcessQueue();
 
   /// Full two-round membership of a negative key against the current state
-  /// (Contains() equivalent; also reports which subset made it positive).
-  bool TestsPositive(int32_t neg_idx, const uint8_t** fns_out,
-                     size_t* n_out) const;
+  /// (Contains() equivalent). When the key tests positive, writes the
+  /// distinct positions of the subset that made it so to `positions` and
+  /// returns their count (at least 1); returns 0 when it tests negative.
+  size_t OffendingPositions(int32_t neg_idx, size_t* positions) const;
 
-  /// Attempts one adjustment that clears a bit probed by `fns[0..n)` (the
-  /// subset that currently makes the key test positive: H0 for a round-1
-  /// collision, the retrieved HashExpressor subset for a round-2 one — the
-  /// latter is an implementation strengthening over the paper, which only
-  /// resolves round 1; see DESIGN.md §3).
-  bool TryOptimize(int32_t neg_idx, const uint8_t* fns, size_t n);
+  /// Attempts one adjustment that clears one of the bits `positions[0..np)`
+  /// (those of the subset that currently makes the key test positive: H0
+  /// for a round-1 collision, the retrieved HashExpressor subset for a
+  /// round-2 one — the latter is an implementation strengthening over the
+  /// paper, which only resolves round 1; see DESIGN.md §3).
+  bool TryOptimize(int32_t neg_idx, const size_t* positions, size_t np);
   void GatherCandidatesForUnit(int32_t neg_idx, size_t unit, int32_t es,
                                bool demote, std::vector<Candidate>* out);
   void Apply(int32_t neg_idx, Candidate& cand);
@@ -265,9 +320,15 @@ class Habf::Builder {
   // populated, which keeps Γ proportional to t, not m.
   std::unordered_map<uint64_t, std::vector<int32_t>> gamma_;
 
-  // Current subset φ(es) per positive key (first k_ entries used).
-  std::vector<std::array<uint8_t, 16>> phi_;
+  // Current subset φ(es) per positive key, k_ entries each: see Phi.
+  std::vector<uint8_t> phi_;
   std::vector<uint8_t> adjusted_;
+
+  // Probe table of the negatives (filled by BuildCollisionQueue), k_ + 1
+  // entries per key: see NegProbes. H0, the bit count and f are fixed for
+  // a build, so no entry goes stale; every later round-1 probe of a
+  // negative reads it instead of hashing the key again.
+  std::vector<uint32_t> neg_probes_;
 
   std::vector<NegState> neg_state_;
   std::vector<uint8_t> attempts_;
@@ -275,9 +336,18 @@ class Habf::Builder {
 };
 
 void Habf::Builder::BuildInitialFilterAndV() {
+  // Sequential add pass: hash each positive's H0 once, set its bits, and
+  // keep its k positions for the V pass, which would otherwise hash every
+  // key again in shuffled order (a cache miss on its view and its bytes).
+  std::vector<uint32_t> positions(positives_.size() * k_);
   for (size_t i = 0; i < positives_.size(); ++i) {
-    std::copy(habf_.h0_.begin(), habf_.h0_.end(), phi_[i].begin());
-    habf_.bloom_.AddWith(positives_[i], habf_.h0_.data(), k_);
+    if (i + kPrefetchDistance < positives_.size()) {
+      __builtin_prefetch(positives_[i + kPrefetchDistance].data());
+    }
+    std::copy(habf_.h0_.begin(), habf_.h0_.end(), Phi(i));
+    uint32_t* row = &positions[i * k_];
+    PositionsOf(positives_[i], habf_.h0_.data(), row);
+    for (size_t j = 0; j < k_; ++j) habf_.bloom_.SetBit(row[j]);
   }
   habf_.stats_.initial_fill = habf_.bloom_.FillRatio();
 
@@ -290,17 +360,38 @@ void Habf::Builder::BuildInitialFilterAndV() {
     const size_t j = rng.NextBounded(i);
     std::swap(order[i - 1], order[j]);
   }
-  for (int32_t idx : order) {
-    for (size_t i = 0; i < k_; ++i) {
-      VInsert(PosOf(positives_[idx], phi_[idx][i]), idx);
+  // The V pass replays that order from the table (V keeps the first two
+  // owners of a unit, so the order is part of the output). Prefetching the
+  // rows and V cells of keys ahead overlaps their cache misses.
+  auto row_of = [&](size_t j) {
+    return &positions[static_cast<size_t>(order[j]) * k_];
+  };
+  for (size_t j = 0; j < order.size(); ++j) {
+    if (j + 2 * kPrefetchDistance < order.size()) {
+      __builtin_prefetch(row_of(j + 2 * kPrefetchDistance));
     }
+    if (j + kPrefetchDistance < order.size()) {
+      PrefetchV(row_of(j + kPrefetchDistance));
+    }
+    const uint32_t* row = row_of(j);
+    for (size_t i = 0; i < k_; ++i) VInsert(row[i], order[j]);
   }
 }
 
 void Habf::Builder::BuildCollisionQueue() {
+  // The one pass that evaluates the negatives' H0 and f: it fills the
+  // probe table that every later round-1 probe of a negative reads.
+  neg_probes_.resize(negatives_.size() * (k_ + 1));
   std::vector<int32_t> collisions;
   for (size_t i = 0; i < negatives_.size(); ++i) {
-    if (habf_.bloom_.TestWith(negatives_[i].key, habf_.h0_.data(), k_)) {
+    if (i + kPrefetchDistance < negatives_.size()) {
+      __builtin_prefetch(negatives_[i + kPrefetchDistance].key.data());
+    }
+    const std::string_view key = negatives_[i].key;
+    uint32_t* row = &neg_probes_[i * (k_ + 1)];
+    PositionsOf(key, habf_.h0_.data(), row);
+    row[k_] = static_cast<uint32_t>(habf_.expressor_.EntryCell(key));
+    if (AllSet(row)) {
       neg_state_[i] = NegState::kCollision;
       collisions.push_back(static_cast<int32_t>(i));
     }
@@ -324,8 +415,8 @@ void Habf::Builder::GatherCandidatesForUnit(int32_t neg_idx, size_t unit,
   // to `unit`.
   uint8_t hu = 0xFF;
   for (size_t i = 0; i < k_; ++i) {
-    if (PosOf(es_key, phi_[es][i]) == unit) {
-      hu = phi_[es][i];
+    if (PosOf(es_key, Phi(es)[i]) == unit) {
+      hu = Phi(es)[i];
       break;
     }
   }
@@ -336,7 +427,7 @@ void Habf::Builder::GatherCandidatesForUnit(int32_t neg_idx, size_t unit,
     const uint8_t hc = static_cast<uint8_t>(fn);
     bool in_phi = false;
     for (size_t i = 0; i < k_; ++i) {
-      if (phi_[es][i] == hc) {
+      if (Phi(es)[i] == hc) {
         in_phi = true;
         break;
       }
@@ -369,11 +460,9 @@ void Habf::Builder::GatherCandidatesForUnit(int32_t neg_idx, size_t unit,
         // Conflict detection (Algorithm 1): an optimized key re-breaks iff
         // every one of its positions outside `nu` is already set.
         for (int32_t eopk : it->second) {
-          size_t positions[16];
-          const size_t np = DistinctPositions(negatives_[eopk].key,
-                                              habf_.h0_.data(), k_, positions);
+          const uint32_t* positions = NegProbes(eopk);
           bool all_set = true;
-          for (size_t p = 0; p < np; ++p) {
+          for (size_t p = 0; p < k_; ++p) {
             if (positions[p] == nu) continue;
             if (!habf_.bloom_.GetBit(positions[p])) {
               all_set = false;
@@ -399,33 +488,24 @@ void Habf::Builder::GatherCandidatesForUnit(int32_t neg_idx, size_t unit,
   }
 }
 
-bool Habf::Builder::TestsPositive(int32_t neg_idx, const uint8_t** fns_out,
-                                  size_t* n_out) const {
+size_t Habf::Builder::OffendingPositions(int32_t neg_idx,
+                                         size_t* positions) const {
+  const uint32_t* probes = NegProbes(neg_idx);
+  if (AllSet(probes)) return Distinct(probes, positions);
+  // Round 2 hashes the key: the retrieved subset changes as the
+  // HashExpressor fills.
   const std::string_view key = negatives_[neg_idx].key;
-  if (habf_.bloom_.TestWith(key, habf_.h0_.data(), k_)) {
-    *fns_out = habf_.h0_.data();
-    *n_out = k_;
-    return true;
-  }
-  static thread_local uint8_t retrieved[16];
-  if (habf_.expressor_.Query(key, retrieved, k_) &&
-      habf_.bloom_.TestWith(key, retrieved, k_)) {
-    *fns_out = retrieved;
-    *n_out = k_;
-    return true;
-  }
-  return false;
+  uint8_t retrieved[16];
+  if (!habf_.expressor_.QueryFrom(key, probes[k_], retrieved, k_)) return 0;
+  uint32_t round2[16];
+  PositionsOf(key, retrieved, round2);
+  return AllSet(round2) ? Distinct(round2, positions) : 0;
 }
 
-bool Habf::Builder::TryOptimize(int32_t neg_idx, const uint8_t* fns,
-                                size_t n) {
-  const std::string_view eck = negatives_[neg_idx].key;
-
+bool Habf::Builder::TryOptimize(int32_t neg_idx, const size_t* positions,
+                                size_t np) {
   // ξck: units mapped by eck that are singly mapped by an unadjusted
   // positive key (§III-D and Theorem 4.1).
-  size_t positions[16];
-  const size_t np = DistinctPositions(eck, fns, n, positions);
-
   std::vector<Candidate> candidates;
   for (size_t p = 0; p < np; ++p) {
     const size_t unit = positions[p];
@@ -458,7 +538,7 @@ bool Habf::Builder::TryOptimize(int32_t neg_idx, const uint8_t* fns,
     size_t n_fns = 0;
     for (size_t i = 0; i < k_; ++i) {
       new_phi[n_fns++] =
-          phi_[cand.es][i] == cand.hu ? cand.hc : phi_[cand.es][i];
+          Phi(cand.es)[i] == cand.hu ? cand.hc : Phi(cand.es)[i];
     }
     cand.plan = habf_.expressor_.Plan(positives_[cand.es], new_phi, n_fns);
     if (!cand.plan.ok) ++habf_.stats_.expressor_insert_failures;
@@ -514,8 +594,8 @@ void Habf::Builder::Apply(int32_t neg_idx, Candidate& cand) {
 
   // Update φ(es) and mark es immutable (HashExpressor has no deletion).
   for (size_t i = 0; i < k_; ++i) {
-    if (phi_[cand.es][i] == cand.hu) {
-      phi_[cand.es][i] = cand.hc;
+    if (Phi(cand.es)[i] == cand.hu) {
+      Phi(cand.es)[i] = cand.hc;
       break;
     }
   }
@@ -547,8 +627,7 @@ void Habf::Builder::Apply(int32_t neg_idx, Candidate& cand) {
 
 void Habf::Builder::AddToGamma(int32_t neg_idx) {
   size_t positions[16];
-  const size_t np = DistinctPositions(negatives_[neg_idx].key,
-                                      habf_.h0_.data(), k_, positions);
+  const size_t np = Distinct(NegProbes(neg_idx), positions);
   for (size_t p = 0; p < np; ++p) {
     gamma_[positions[p]].push_back(neg_idx);
   }
@@ -556,8 +635,7 @@ void Habf::Builder::AddToGamma(int32_t neg_idx) {
 
 void Habf::Builder::RemoveFromGamma(int32_t neg_idx) {
   size_t positions[16];
-  const size_t np = DistinctPositions(negatives_[neg_idx].key,
-                                      habf_.h0_.data(), k_, positions);
+  const size_t np = Distinct(NegProbes(neg_idx), positions);
   for (size_t p = 0; p < np; ++p) {
     auto it = gamma_.find(positions[p]);
     if (it == gamma_.end()) continue;
@@ -581,7 +659,12 @@ void Habf::Builder::RecordMemory() {
                    bucket.capacity() * sizeof(int32_t) + 16;
   }
   mem.Add("index_Gamma", gamma_bytes);
-  mem.Add("positive_phi", phi_.size() * sizeof(phi_[0]) + adjusted_.size());
+  mem.Add("positive_phi", phi_.size() + adjusted_.size());
+  // Both position tables count, though the positives' one is freed before
+  // the negatives' one is filled: an upper bound on what is held at once.
+  mem.Add("positive_h0_positions",
+          positives_.size() * k_ * sizeof(uint32_t));
+  mem.Add("negative_probes", neg_probes_.capacity() * sizeof(uint32_t));
   size_t neg_bytes = 0;
   for (const auto& wk : negatives_) {
     neg_bytes += wk.key.size() + sizeof(WeightedKeyView);
@@ -607,13 +690,16 @@ void Habf::Builder::Run() {
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool found = false;
     for (size_t i = 0; i < negatives_.size(); ++i) {
+      // Round 2 still hashes the key (its walk and retrieved subset).
+      if (i + kPrefetchDistance < negatives_.size()) {
+        __builtin_prefetch(negatives_[i + kPrefetchDistance].key.data());
+      }
       if (neg_state_[i] == NegState::kFailed ||
           neg_state_[i] == NegState::kCollision) {
         continue;
       }
-      const uint8_t* fns = nullptr;
-      size_t n = 0;
-      if (TestsPositive(static_cast<int32_t>(i), &fns, &n)) {
+      size_t positions[16];
+      if (OffendingPositions(static_cast<int32_t>(i), positions) != 0) {
         if (neg_state_[i] == NegState::kOptimized) {
           RemoveFromGamma(static_cast<int32_t>(i));
         }
@@ -640,9 +726,9 @@ void Habf::Builder::ProcessQueue() {
     cq_.pop_front();
     if (neg_state_[neg_idx] != NegState::kCollision) continue;
     // A previous adjustment may have resolved this key as a side effect.
-    const uint8_t* offending_fns = nullptr;
-    size_t offending_n = 0;
-    if (!TestsPositive(neg_idx, &offending_fns, &offending_n)) {
+    size_t positions[16];
+    const size_t np = OffendingPositions(neg_idx, positions);
+    if (np == 0) {
       neg_state_[neg_idx] = NegState::kOptimized;
       AddToGamma(neg_idx);
       continue;
@@ -652,14 +738,14 @@ void Habf::Builder::ProcessQueue() {
       continue;
     }
     ++attempts_[neg_idx];
-    if (!TryOptimize(neg_idx, offending_fns, offending_n)) {
+    if (!TryOptimize(neg_idx, positions, np)) {
       neg_state_[neg_idx] = NegState::kFailed;
       continue;
     }
     // Verify with the full two-round test: an adjustment can move the key
     // from round 1 to a round-2 HashExpressor collision. Re-queue until
     // clean or the attempt budget runs out.
-    if (!TestsPositive(neg_idx, &offending_fns, &offending_n)) {
+    if (OffendingPositions(neg_idx, positions) == 0) {
       neg_state_[neg_idx] = NegState::kOptimized;
       AddToGamma(neg_idx);
     } else {
@@ -838,6 +924,12 @@ Habf Habf::Build(StringSpan positives, WeightedKeySpan negatives,
                  const HabfOptions& options) {
   HabfOptions effective = options;
   Sizing sizing = ComputeSizing(effective);
+  if (sizing.bloom_bits >= kMaxBuildIndexSpace ||
+      sizing.num_cells >= kMaxBuildIndexSpace) {
+    throw std::invalid_argument(
+        "Habf::Build: the Bloom side and the HashExpressor must each have "
+        "fewer than 2^32 bits/cells (the builder indexes them in 32 bits)");
+  }
   if (effective.k > sizing.usable_fns) effective.k = sizing.usable_fns;
   if (effective.k == 0) effective.k = 1;
 

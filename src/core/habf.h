@@ -124,6 +124,10 @@ class Habf {
   /// Zero-copy: the spans view caller storage; no key bytes are copied and
   /// nothing is retained after Build returns. The viewed storage only needs
   /// to outlive the call.
+  ///
+  /// Throws std::invalid_argument, before allocating anything, when the
+  /// sizing gives the Bloom side 2^32 bits or more or the HashExpressor
+  /// 2^32 cells or more: the builder indexes both in 32 bits (DESIGN.md §3).
   static Habf Build(StringSpan positives, WeightedKeySpan negatives,
                     const HabfOptions& options);
 

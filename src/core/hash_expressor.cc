@@ -133,20 +133,21 @@ bool HashExpressor::Insert(std::string_view key, const uint8_t* fns,
   return true;
 }
 
-bool HashExpressor::Query(std::string_view key, uint8_t* fns,
-                          size_t n) const {
-  size_t cell = EntryCell(key);
-  size_t last_cell = cell;
-  for (size_t i = 0; i < n; ++i) {
+bool HashExpressor::QueryFrom(std::string_view key, size_t entry_cell,
+                              uint8_t* fns, size_t n) const {
+  assert(n >= 1);
+  size_t cell = entry_cell;
+  for (size_t i = 0;; ++i) {
     const Cell c = ReadCell(cell);
     if (c.hashindex == 0) return false;
     const uint8_t fn = static_cast<uint8_t>(c.hashindex - 1);
     if (fn >= provider_->NumFunctions()) return false;
     fns[i] = fn;
-    last_cell = cell;
+    // The n-th cell ends the walk: its endbit is the answer, and the cell
+    // its function would address next is never read.
+    if (i + 1 == n) return c.endbit;
     cell = NextCell(key, fn);
   }
-  return ReadCell(last_cell).endbit;
 }
 
 double HashExpressor::FillRatio() const {

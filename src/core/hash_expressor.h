@@ -66,7 +66,19 @@ class HashExpressor {
   /// Walks the chain for `key`. On success fills `fns[0..n)` with the stored
   /// subset (chain order) and returns true; returns false when the walk hits
   /// an empty cell or the final endbit is 0 (caller falls back to H0).
-  bool Query(std::string_view key, uint8_t* fns, size_t n) const;
+  /// A complete walk evaluates n-1 family functions, one per step between
+  /// cells; `n` must be at least 1.
+  bool Query(std::string_view key, uint8_t* fns, size_t n) const {
+    return QueryFrom(key, EntryCell(key), fns, n);
+  }
+
+  /// Query() from a precomputed `entry_cell` == EntryCell(key), for callers
+  /// that probe one key many times against a changing table (the builder).
+  bool QueryFrom(std::string_view key, size_t entry_cell, uint8_t* fns,
+                 size_t n) const;
+
+  /// The cell a key's chain starts at: the dedicated function f, mod ω.
+  size_t EntryCell(std::string_view key) const;
 
   /// Number of keys committed so far (the t of the Fh <= t/ω bound).
   size_t num_inserted() const { return num_inserted_; }
@@ -110,7 +122,6 @@ class HashExpressor {
                         (endbit ? 1u : 0u));
   }
 
-  size_t EntryCell(std::string_view key) const;
   size_t NextCell(std::string_view key, uint8_t fn) const;
 
   // Depth-first search over storage orders; keeps the best (max overlap)

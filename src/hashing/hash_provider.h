@@ -65,21 +65,31 @@ class DoubleHashProvider final : public HashProvider {
  public:
   explicit DoubleHashProvider(size_t count, uint64_t seed = 0);
 
+  /// The two real digests of a key; function i is h1 + (i+1) * h2.
+  struct Digests {
+    uint64_t h1;
+    uint64_t h2;
+    uint64_t Value(size_t idx) const {
+      return h1 + (static_cast<uint64_t>(idx) + 1) * h2;
+    }
+  };
+
   size_t NumFunctions() const override { return count_; }
 
+  /// Both digests of `key`, for callers that evaluate many functions of it.
+  Digests DigestsOf(std::string_view key) const {
+    return {XxHash64(key.data(), key.size(), seed1_),
+            XxHash64(key.data(), key.size(), seed2_) | 1u};
+  }
+
   uint64_t Value(std::string_view key, size_t idx) const override {
-    const uint64_t h1 = XxHash64(key.data(), key.size(), seed1_);
-    const uint64_t h2 = XxHash64(key.data(), key.size(), seed2_) | 1u;
-    return h1 + (idx + 1) * h2;
+    return DigestsOf(key).Value(idx);
   }
 
   void Values(std::string_view key, const uint8_t* idxs, size_t n,
               uint64_t* out) const override {
-    const uint64_t h1 = XxHash64(key.data(), key.size(), seed1_);
-    const uint64_t h2 = XxHash64(key.data(), key.size(), seed2_) | 1u;
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = h1 + (static_cast<uint64_t>(idxs[i]) + 1) * h2;
-    }
+    const Digests d = DigestsOf(key);
+    for (size_t i = 0; i < n; ++i) out[i] = d.Value(idxs[i]);
   }
 
   const char* Name(size_t idx) const override;

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "hashing/hash_provider.h"
+
 namespace habf {
 namespace {
 
@@ -126,6 +128,70 @@ TEST(CountingBloomTest, DoubleRemoveIsClampedAtZero) {
 TEST(CountingBloomTest, MemoryIsFourBitsPerCounter) {
   CountingBloomFilter filter(1024, 4);
   EXPECT_EQ(filter.MemoryUsageBytes(), 1024 * 4 / 8u);
+}
+
+TEST(CountingBloomTest, CountersMatchPerProbeFormula) {
+  // Oracle: probe i of a key is DoubleHashProvider::Value(key, i) % m,
+  // applied one probe at a time, so a key whose probes repeat a counter
+  // bumps it once per repeat. The small table makes repeats and
+  // saturation common; the larger one is the usual sparse case.
+  struct Shape {
+    size_t counters;
+    size_t k;
+  };
+  for (const Shape shape : {Shape{61, 6}, Shape{4099, 4}}) {
+    constexpr uint64_t kSeed = 42;
+    CountingBloomFilter filter(shape.counters, shape.k, kSeed);
+    const DoubleHashProvider family(shape.k, kSeed);
+    std::vector<uint64_t> oracle(shape.counters, 0);
+    size_t repeated_probes = 0;
+    auto apply = [&](const std::string& key, int step) {
+      std::vector<size_t> seen;
+      for (size_t i = 0; i < shape.k; ++i) {
+        const size_t pos =
+            static_cast<size_t>(family.Value(key, i) % shape.counters);
+        for (size_t p : seen) repeated_probes += p == pos ? 1 : 0;
+        seen.push_back(pos);
+        uint64_t& c = oracle[pos];
+        if (c == CountingBloomFilter::kCounterMax) continue;
+        if (step > 0) ++c;
+        if (step < 0 && c > 0) --c;
+      }
+    };
+    auto expect_counters_match = [&](const char* phase) {
+      for (size_t idx = 0; idx < shape.counters; ++idx) {
+        ASSERT_EQ(filter.CounterAt(idx), oracle[idx])
+            << phase << " m=" << shape.counters << " idx=" << idx;
+      }
+    };
+
+    const auto keys = Keys("oracle-", 300);
+    for (const auto& key : keys) {
+      filter.Add(key);
+      apply(key, +1);
+    }
+    expect_counters_match("add");
+    for (size_t i = 0; i < keys.size(); i += 2) {
+      filter.Remove(keys[i]);
+      apply(keys[i], -1);
+    }
+    for (const auto& key : Keys("never-added-", 100)) {
+      filter.Remove(key);
+      apply(key, -1);
+    }
+    expect_counters_match("remove");
+    for (const auto& key : Keys("probe-", 500)) {
+      bool all_nonzero = true;
+      for (size_t i = 0; i < shape.k; ++i) {
+        all_nonzero = all_nonzero &&
+                      oracle[family.Value(key, i) % shape.counters] != 0;
+      }
+      EXPECT_EQ(filter.MightContain(key), all_nonzero) << key;
+    }
+    if (shape.counters == 61) {
+      EXPECT_GT(repeated_probes, 0u) << "the small table must repeat probes";
+    }
+  }
 }
 
 }  // namespace

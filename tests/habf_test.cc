@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/sharded_filter.h"
 #include "core/theory.h"
 #include "eval/metrics.h"
+#include "hashing/xxhash.h"
 #include "workload/dataset.h"
 
 namespace habf {
@@ -301,6 +304,99 @@ TEST(HabfTest, KClampedToUsableFamily) {
   EXPECT_EQ(filter.options().k, 3u);
   EXPECT_EQ(filter.usable_functions(), 3u);
   EXPECT_EQ(CountFalseNegatives(filter, data.positives), 0u);
+}
+
+// --- pinned build output ---------------------------------------------------
+//
+// XxHash64 of the Serialize() bytes of fixed-seed builds. The builder is
+// deterministic, and its construction-time indexes (V, the position
+// tables, Γ) are bookkeeping only: a speedup of the build must leave every
+// bit of the filter where it was. A change that moves one fails here by
+// name. The digests were recorded before the builder cached key positions.
+
+template <typename F>
+uint64_t SnapshotDigest(const F& filter) {
+  std::string bytes;
+  filter.Serialize(&bytes);
+  return XxHash64(bytes.data(), bytes.size(), 0);
+}
+
+TEST(HabfBuildPin, DefaultOptions) {
+  const Dataset data = SmallDataset(20000, 20000);
+  HabfOptions options = DefaultOptions(20000 * 10);
+  options.seed = 5;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_GT(filter.stats().optimized, 0u);
+  EXPECT_EQ(SnapshotDigest(filter), 0x1E322FD612C0432DULL);
+}
+
+TEST(HabfBuildPin, DoubleAdjustment) {
+  const Dataset data = SmallDataset(20000, 20000, /*seed=*/91);
+  HabfOptions options = DefaultOptions(20000 * 6);
+  options.allow_double_adjustment = true;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_GT(filter.stats().double_adjustments, 0u);
+  EXPECT_EQ(SnapshotDigest(filter), 0xD932F81635E0CC27ULL);
+}
+
+TEST(HabfBuildPin, FastVariant) {
+  const Dataset data = SmallDataset(20000, 20000);
+  HabfOptions options = DefaultOptions(20000 * 10);
+  options.fast = true;
+  options.seed = 9;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_GT(filter.stats().optimized, 0u);
+  EXPECT_EQ(SnapshotDigest(filter), 0xB4008D5A9713ED73ULL);
+}
+
+TEST(HabfBuildPin, NarrowCellsWithClampedK) {
+  const Dataset data = SmallDataset(20000, 20000);
+  HabfOptions options = DefaultOptions(20000 * 10);
+  options.cell_bits = 3;
+  options.k = 8;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_EQ(filter.options().k, 3u);
+  EXPECT_EQ(SnapshotDigest(filter), 0xF6E44293D2FC3990ULL);
+}
+
+TEST(HabfBuildPin, ShardedTwoChoiceSameBytesOnOneAndFourThreads) {
+  const Dataset data = SmallDataset(40000, 40000, /*seed=*/23);
+  const HabfOptions options = DefaultOptions(40000 * 10);
+  ShardedBuildOptions sharding;
+  sharding.num_shards = 8;
+  sharding.routing = RoutingMode::kTwoChoice;
+  for (size_t threads : {1, 4}) {
+    sharding.num_threads = threads;
+    const ShardedFilter<Habf> filter =
+        BuildShardedHabf(data.positives, data.negatives, options, sharding);
+    EXPECT_EQ(SnapshotDigest(filter), 0x7AA6033FA188CE8FULL)
+        << threads << " threads";
+  }
+}
+
+// --- argument checks ---------------------------------------------------------
+
+TEST(HabfTest, BuildRejectsBloomSideOfTwoToThe32Bits) {
+  // The builder indexes Bloom positions with 32-bit tables; a larger Bloom
+  // side is refused before anything is allocated (empty key sets, so the
+  // test itself allocates nothing large either).
+  const std::vector<std::string> none;
+  const std::vector<WeightedKey> no_negatives;
+  HabfOptions options;
+  options.delta = 0.0;  // one 4-bit cell; the Bloom side gets the rest
+  options.total_bits = (size_t{1} << 32) + 4;  // Bloom side exactly 2^32
+  EXPECT_THROW(Habf::Build(none, no_negatives, options),
+               std::invalid_argument);
+  options.delta = 0.25;
+  options.total_bits = size_t{5} << 32;  // Bloom side 4 * 2^32 bits
+  EXPECT_THROW(Habf::Build(none, no_negatives, options),
+               std::invalid_argument);
+  // The negatives' probe table holds HashExpressor entry cells too.
+  options.delta = 1e6;
+  options.cell_bits = 2;
+  options.total_bits = size_t{1} << 34;  // ~2^33 cells, a tiny Bloom side
+  EXPECT_THROW(Habf::Build(none, no_negatives, options),
+               std::invalid_argument);
 }
 
 }  // namespace

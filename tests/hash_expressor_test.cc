@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "hashing/hash_provider.h"
+#include "hashing/xxhash.h"
 #include "util/rng.h"
 
 namespace habf {
@@ -191,6 +192,108 @@ TEST_P(HashExpressorCellWidthSweep, RoundTripAcrossCellWidths) {
 
 INSTANTIATE_TEST_SUITE_P(CellWidths, HashExpressorCellWidthSweep,
                          ::testing::Values(3u, 4u, 5u, 6u));
+
+/// Forwards to a real family and counts every function evaluation.
+class CountingProvider final : public HashProvider {
+ public:
+  explicit CountingProvider(const HashProvider* inner) : inner_(inner) {}
+  size_t NumFunctions() const override { return inner_->NumFunctions(); }
+  uint64_t Value(std::string_view key, size_t idx) const override {
+    ++calls;
+    return inner_->Value(key, idx);
+  }
+  const char* Name(size_t idx) const override { return inner_->Name(idx); }
+
+  mutable size_t calls = 0;
+
+ private:
+  const HashProvider* inner_;
+};
+
+TEST_F(HashExpressorTest, CompleteWalkEvaluatesOneFunctionPerStep) {
+  // A k-cell chain takes k-1 steps: the k-th cell ends the walk, so no
+  // family function is evaluated after it. The entry cell comes from the
+  // dedicated f, which is not a family member.
+  CountingProvider counting(&provider_);
+  HashExpressor he(4096, 4, &counting, 3);
+  const uint8_t three[] = {1, 3, 5};
+  const uint8_t five[] = {0, 2, 4, 5, 6};
+  ASSERT_TRUE(he.Insert("walk-3", three, 3));
+  ASSERT_TRUE(he.Insert("walk-5", five, 5));
+
+  uint8_t out[5];
+  counting.calls = 0;
+  ASSERT_TRUE(he.Query("walk-3", out, 3));
+  EXPECT_EQ(counting.calls, 2u);
+  counting.calls = 0;
+  ASSERT_TRUE(he.Query("walk-5", out, 5));
+  EXPECT_EQ(counting.calls, 4u);
+  counting.calls = 0;
+  ASSERT_TRUE(he.QueryFrom("walk-5", he.EntryCell("walk-5"), out, 5));
+  EXPECT_EQ(counting.calls, 4u);
+
+  // A walk that stops at an empty entry cell evaluates nothing.
+  HashExpressor empty(64, 4, &counting, 3);
+  counting.calls = 0;
+  EXPECT_FALSE(empty.Query("walk-3", out, 3));
+  EXPECT_EQ(counting.calls, 0u);
+}
+
+TEST_F(HashExpressorTest, QueryFromEntryCellMatchesQuery) {
+  HashExpressor he(512, 4, &provider_, 19);
+  Xoshiro256 rng(29);
+  for (int i = 0; i < 60; ++i) {
+    std::set<uint8_t> subset;
+    while (subset.size() < 3) {
+      subset.insert(static_cast<uint8_t>(rng.NextBounded(7)));
+    }
+    std::vector<uint8_t> fns(subset.begin(), subset.end());
+    he.Insert("qf-" + std::to_string(i), fns.data(), 3);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const std::string key = "qf-" + std::to_string(i % 120) + "-" +
+                            std::to_string(i / 120);
+    uint8_t a[3] = {0, 0, 0};
+    uint8_t b[3] = {0, 0, 0};
+    const bool ra = he.Query(key, a, 3);
+    ASSERT_EQ(he.QueryFrom(key, he.EntryCell(key), b, 3), ra) << key;
+    if (ra) {
+      EXPECT_EQ(std::vector<uint8_t>(a, a + 3),
+                std::vector<uint8_t>(b, b + 3));
+    }
+  }
+}
+
+TEST_F(HashExpressorTest, QueryAnswersPinnedOnAFixedProbeSet) {
+  // Every answer (hit or miss, and the retrieved subset on a hit) of a
+  // fixed table over a fixed probe set, folded into one digest recorded
+  // before the walk stopped evaluating a function after its last cell.
+  HashExpressor he(1024, 4, &provider_, 31);
+  Xoshiro256 rng(37);
+  for (int i = 0; i < 150; ++i) {
+    std::set<uint8_t> subset;
+    while (subset.size() < 3) {
+      subset.insert(static_cast<uint8_t>(rng.NextBounded(7)));
+    }
+    std::vector<uint8_t> fns(subset.begin(), subset.end());
+    he.Insert("pin-" + std::to_string(i), fns.data(), 3);
+  }
+  uint64_t digest = 0;
+  size_t hits = 0;
+  for (int i = 0; i < 4000; ++i) {
+    // Half inserted keys (i < 150 of every 300), half strangers.
+    const std::string key = i % 300 < 150
+                                ? "pin-" + std::to_string(i % 300)
+                                : "stranger-" + std::to_string(i);
+    uint8_t record[4] = {0, 0, 0, 0};
+    record[0] = he.Query(key, record + 1, 3) ? 1 : 0;
+    if (record[0] == 0) record[1] = record[2] = record[3] = 0;
+    hits += record[0];
+    digest = XxHash64(record, sizeof(record), digest);
+  }
+  EXPECT_GT(hits, 1500u);
+  EXPECT_EQ(digest, 0xC396CB52E75E0A16ULL);
+}
 
 }  // namespace
 }  // namespace habf
