@@ -82,11 +82,15 @@ inline size_t BudgetBits(double bits_per_key, size_t num_positives) {
 
 // --- filter builders at a common budget -----------------------------------
 
+/// HABF (or f-HABF when `fast`) with the paper's hash families: Table II
+/// for HABF, double hashing over xxHash for f-HABF (§III-G). The library
+/// default, the one-pass family, is Fig. 14's extra series.
 inline Habf BuildHabf(const Dataset& data, size_t total_bits,
                       bool fast = false, uint64_t seed = 0) {
   HabfOptions options;
   options.total_bits = total_bits;
   options.fast = fast;
+  options.family = fast ? HabfFamily::kDoubleXxHash : HabfFamily::kTableII;
   options.seed = seed;
   return Habf::Build(data.positives, data.negatives, options);
 }

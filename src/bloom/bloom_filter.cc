@@ -42,10 +42,7 @@ bool BloomFilter::TestWith(std::string_view key, const uint8_t* fns,
   uint64_t values[32];
   assert(n <= 32);
   provider_->Values(key, fns, n, values);
-  for (size_t i = 0; i < n; ++i) {
-    if (!bits_.Get(static_cast<size_t>(values[i] % num_bits_))) return false;
-  }
-  return true;
+  return TestValues(values, n);
 }
 
 SeededBloomFilter::SeededBloomFilter(size_t num_bits, size_t k, HashFn fn,

@@ -47,32 +47,33 @@ class BloomFilter {
   /// `fns[0..n)` (HABF round 1 uses this with H0).
   size_t TestBatchWith(KeySpan keys, const uint8_t* fns, size_t n,
                        uint8_t* out) const {
-    return TestBatchWithResolver(
-        keys, n, [fns](size_t, uint8_t*) { return fns; }, out);
+    return TestBatchValues(
+        keys.size(), n,
+        [&](size_t i, uint64_t* values) {
+          provider_->Values(keys[i], fns, n, values);
+        },
+        out);
   }
 
-  /// The generic prefetching hash-then-probe loop behind every batch test:
-  /// `fns_for(i, scratch)` returns key i's n function indices (writing into
-  /// `scratch[0..31]` if it needs storage), so per-key-subset filters like
-  /// PartitionedBloomFilter reuse the same loop.
-  template <typename FnsFor>
-  size_t TestBatchWithResolver(KeySpan keys, size_t n, FnsFor&& fns_for,
-                               uint8_t* out) const {
+  /// The generic prefetching hash-then-probe loop behind every batch test,
+  /// over `count` keys: `values_of(i, values)` writes key i's n raw family
+  /// values (each reduced mod m to a bit), so filters that pick a subset
+  /// per key, or hold a key's digests already, reuse the same loop.
+  template <typename ValuesOf>
+  size_t TestBatchValues(size_t count, size_t n, ValuesOf&& values_of,
+                         uint8_t* out) const {
     assert(n <= 32);
-    constexpr size_t kBlock = 32;
     const uint64_t* words = bits_.words().data();
-    size_t positions[kBlock][32];
+    size_t positions[kBatchBlock][32];
     size_t positives = 0;
-    for (size_t base = 0; base < keys.size(); base += kBlock) {
-      const size_t count =
-          keys.size() - base < kBlock ? keys.size() - base : kBlock;
+    for (size_t base = 0; base < count; base += kBatchBlock) {
+      const size_t block =
+          count - base < kBatchBlock ? count - base : kBatchBlock;
       // Stage 1: hash the whole block and prefetch every probed word, so
       // the loads of one key overlap the hashing of the next.
-      for (size_t i = 0; i < count; ++i) {
-        uint8_t scratch[32];
-        const uint8_t* fns = fns_for(base + i, scratch);
+      for (size_t i = 0; i < block; ++i) {
         uint64_t values[32];
-        provider_->Values(keys[base + i], fns, n, values);
+        values_of(base + i, values);
         for (size_t j = 0; j < n; ++j) {
           const size_t pos = static_cast<size_t>(values[j] % num_bits_);
           positions[i][j] = pos;
@@ -80,7 +81,7 @@ class BloomFilter {
         }
       }
       // Stage 2: probe; by now the words are (likely) in cache.
-      for (size_t i = 0; i < count; ++i) {
+      for (size_t i = 0; i < block; ++i) {
         bool hit = true;
         for (size_t j = 0; j < n; ++j) {
           const size_t pos = positions[i][j];
@@ -96,11 +97,22 @@ class BloomFilter {
     return positives;
   }
 
+  /// Keys per hash-then-probe block of TestBatchValues.
+  static constexpr size_t kBatchBlock = 32;
+
   /// Inserts `key` using explicit function indices `fns[0..n)`.
   void AddWith(std::string_view key, const uint8_t* fns, size_t n);
 
   /// Tests `key` using explicit function indices.
   bool TestWith(std::string_view key, const uint8_t* fns, size_t n) const;
+
+  /// Tests the bits of n raw family values (TestWith after its hashing).
+  bool TestValues(const uint64_t* values, size_t n) const {
+    for (size_t i = 0; i < n; ++i) {
+      if (!bits_.Get(static_cast<size_t>(values[i] % num_bits_))) return false;
+    }
+    return true;
+  }
 
   /// Bit position of function `fn_idx` applied to `key`.
   size_t PositionOf(std::string_view key, uint8_t fn_idx) const {

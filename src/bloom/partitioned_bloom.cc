@@ -50,11 +50,12 @@ bool PartitionedBloomFilter::MightContain(std::string_view key) const {
 
 size_t PartitionedBloomFilter::ContainsBatch(KeySpan keys,
                                              uint8_t* out) const {
-  return filter_.TestBatchWithResolver(
-      keys, options_.k,
-      [this, keys](size_t i, uint8_t* scratch) {
-        GroupFns(GroupOf(keys[i]), scratch);
-        return scratch;
+  return filter_.TestBatchValues(
+      keys.size(), options_.k,
+      [this, keys](size_t i, uint64_t* values) {
+        uint8_t fns[32];
+        GroupFns(GroupOf(keys[i]), fns);
+        filter_.provider()->Values(keys[i], fns, options_.k, values);
       },
       out);
 }

@@ -178,39 +178,33 @@ void DynamicShardedHabf::MaybeRotateFrontLocked() {
   ++stats_.front_rotations;
 }
 
-void DynamicShardedHabf::Insert(std::string_view key) {
-  DeltaWalWriter* wal = nullptr;
-  uint64_t seq = 0;
-  {
-    WriterLock lock(delta_mutex_);
-    const size_t shard = ApplyMutationLocked(key, /*inserted=*/true,
-                                             /*count_stats=*/true);
-    if (wal_ != nullptr) {
-      // Enqueued under the writer lock so the log order equals the apply
-      // order; the fsync (SyncTo below) happens after release so readers
-      // and other writers are never stalled behind the disk.
-      wal = wal_.get();
-      seq = wal->Enqueue(key, true);
-    }
-    NotifyCompactorIfDirtyLocked(shard);
-  }
-  if (wal != nullptr && seq != 0) wal->SyncTo(seq);
+bool DynamicShardedHabf::Insert(std::string_view key) {
+  return ApplyLogged(key, /*inserted=*/true);
 }
 
-void DynamicShardedHabf::Remove(std::string_view key) {
+bool DynamicShardedHabf::Remove(std::string_view key) {
+  return ApplyLogged(key, /*inserted=*/false);
+}
+
+bool DynamicShardedHabf::ApplyLogged(std::string_view key, bool inserted) {
   DeltaWalWriter* wal = nullptr;
   uint64_t seq = 0;
   {
     WriterLock lock(delta_mutex_);
-    const size_t shard = ApplyMutationLocked(key, /*inserted=*/false,
-                                             /*count_stats=*/true);
     if (wal_ != nullptr) {
+      // Logged under the writer lock, so the log order equals the apply
+      // order, and before the apply: a failed log refuses the mutation
+      // with memory untouched. The fsync (SyncTo below) happens after
+      // release so readers and other writers never stall behind the disk.
       wal = wal_.get();
-      seq = wal->Enqueue(key, false);
+      seq = wal->Enqueue(key, inserted);
+      if (seq == 0) return false;
     }
+    const size_t shard =
+        ApplyMutationLocked(key, inserted, /*count_stats=*/true);
     NotifyCompactorIfDirtyLocked(shard);
   }
-  if (wal != nullptr && seq != 0) wal->SyncTo(seq);
+  return wal == nullptr || wal->SyncTo(seq);
 }
 
 bool DynamicShardedHabf::MightContain(std::string_view key) const {
@@ -578,6 +572,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
     writer.WriteU64(compaction_epoch_);
     writer.WriteU64(new_epoch);
     writer.WriteU64(last_seq);
+    WriteHabfFamily(base_options_, &writer);
   }
   std::string base_payload;
   {
@@ -707,7 +702,8 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
     out->compaction_epoch = reader.ReadU64();
     out->replay_epoch = reader.ReadU64();
     out->last_seq = reader.ReadU64();
-    if (!reader.ok() || reader.remaining() != 0 || num_shards == 0 ||
+    if (!reader.ok() || !ReadHabfFamily(&reader, &out->base_options) ||
+        reader.remaining() != 0 || num_shards == 0 ||
         num_shards > kMaxSnapshotShards ||
         !std::isfinite(out->bits_per_key) || out->bits_per_key <= 0.0 ||
         out->replay_epoch == 0) {

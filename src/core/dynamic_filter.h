@@ -171,14 +171,22 @@ class DynamicShardedHabf {
   /// returns. Inserting a key that is already a member is a harmless no-op
   /// at the membership level (the delta entry is folded away on the next
   /// compaction of its shard).
-  void Insert(std::string_view key) HABF_EXCLUDES(delta_mutex_);
+  ///
+  /// Returns true when the mutation is acknowledged: applied and, with
+  /// durability on, fsynced to the WAL. False when the WAL failed. Its
+  /// failure is sticky (a failed fsync cannot be retried safely), so every
+  /// later mutation is refused before it touches memory. The one whose
+  /// write failed may already be visible; it is not acknowledged, and a
+  /// recovery may or may not keep it.
+  bool Insert(std::string_view key) HABF_EXCLUDES(delta_mutex_);
 
   /// Makes `key` a non-member via an exact tombstone: queries for it answer
   /// false until a compaction rebuilds its shard without the key (after
   /// which it behaves like any other non-member, i.e. the usual one-sided
   /// false-positive probability applies). Removing a non-member is allowed
   /// — the tombstone then merely masks a potential base false positive.
-  void Remove(std::string_view key) HABF_EXCLUDES(delta_mutex_);
+  /// Returns what Insert returns.
+  bool Remove(std::string_view key) HABF_EXCLUDES(delta_mutex_);
 
   // --- Filter concept -----------------------------------------------------
 
@@ -234,8 +242,8 @@ class DynamicShardedHabf {
       HABF_EXCLUDES(compaction_mutex_, delta_mutex_);
 
   /// True while durability is enabled and the WAL is healthy. A log I/O
-  /// error permanently degrades to memory-only operation (mutations still
-  /// apply in memory; this turning false is the signal).
+  /// error makes the filter read-only for good: queries keep working,
+  /// mutations are refused (Insert/Remove return false).
   bool durable() const HABF_EXCLUDES(delta_mutex_);
 
   /// Writes a checkpoint: rotates the WAL to a fresh epoch, crash-atomically
@@ -266,6 +274,9 @@ class DynamicShardedHabf {
   // --- introspection ------------------------------------------------------
 
   size_t num_shards() const { return num_shards_; }
+
+  /// Options every shard rebuild uses (persisted in the checkpoint).
+  const HabfOptions& base_options() const { return base_options_; }
 
   /// Shard `key` routes to (same salt + directory as the base).
   size_t ShardOf(std::string_view key) const;
@@ -335,6 +346,11 @@ class DynamicShardedHabf {
       HABF_REQUIRES(delta_mutex_) HABF_EXCLUDES(background_mutex_);
   void BackgroundLoop(std::chrono::milliseconds interval)
       HABF_EXCLUDES(background_mutex_);
+
+  /// Insert/Remove: WAL-enqueues (refusing if the log failed), applies,
+  /// then waits for the fsync.
+  bool ApplyLogged(std::string_view key, bool inserted)
+      HABF_EXCLUDES(delta_mutex_);
 
   /// The shared mutation body: updates the exact table, the counting-bloom
   /// front, the dirty counters and (when `count_stats`) the insert/remove

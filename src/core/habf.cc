@@ -23,6 +23,10 @@ constexpr int kMaxAttemptsPerKey = 3;
 
 constexpr uint64_t kEntrySeed = 0x66656E7472794AULL;  // HashExpressor f
 
+/// Most hash functions per key: the query and the builder hold a key's
+/// subset in 16-entry arrays. Build clamps k to it; Deserialize rejects more.
+constexpr size_t kMaxHashesPerKey = 16;
+
 /// The builder keeps Bloom positions and HashExpressor entry cells in 32-bit
 /// tables, so both index spaces must stay below this (DESIGN.md §3).
 constexpr size_t kMaxBuildIndexSpace = size_t{1} << 32;
@@ -35,11 +39,54 @@ constexpr size_t kPrefetchDistance = 8;
 
 std::unique_ptr<HashProvider> MakeProvider(const HabfOptions& options,
                                            size_t usable_fns) {
-  if (options.fast) {
-    return std::make_unique<DoubleHashProvider>(usable_fns, options.seed);
+  switch (options.family) {
+    case HabfFamily::kTableII:
+      return std::make_unique<GlobalHashProvider>(usable_fns, options.seed);
+    case HabfFamily::kDoubleXxHash:
+      return std::make_unique<DoubleHashProvider>(usable_fns, options.seed);
+    case HabfFamily::kOnePass:
+      break;
   }
-  return std::make_unique<GlobalHashProvider>(usable_fns, options.seed);
+  return std::make_unique<OnePassHashProvider>(usable_fns, options.seed);
 }
+
+/// Batch-query value source of the families whose functions each read the
+/// key (Table II; double xxHash, whose entry value hashes the key apart):
+/// a key's state is the key itself.
+struct KeyValueSource {
+  using State = std::string_view;
+  const HashProvider* provider;
+  uint64_t f_seed;
+
+  State Load(std::string_view key) const { return key; }
+  uint64_t Value(State key, uint8_t fn) const {
+    return provider->Value(key, fn);
+  }
+  void Values(State key, const uint8_t* fns, size_t n, uint64_t* out) const {
+    provider->Values(key, fns, n, out);
+  }
+  uint64_t EntryValue(State key) const {
+    return provider->EntryValue(key, f_seed);
+  }
+};
+
+/// Batch-query value source of the one-pass family: a key's state is its
+/// digests, and every value after Load is arithmetic on them.
+struct DigestValueSource {
+  using State = HashDigests;
+  const OnePassHashProvider* provider;
+  uint64_t f_seed;
+
+  State Load(std::string_view key) const { return provider->DigestsOf(key); }
+  uint64_t Value(const State& d, uint8_t fn) const { return d.Value(fn); }
+  void Values(const State& d, const uint8_t* fns, size_t n,
+              uint64_t* out) const {
+    d.Values(fns, n, out);
+  }
+  uint64_t EntryValue(const State& d) const {
+    return OnePassHashProvider::EntryValueOf(d, f_seed);
+  }
+};
 
 std::vector<uint8_t> PickH0(size_t k, size_t usable_fns, uint64_t seed) {
   std::vector<uint8_t> all(usable_fns);
@@ -56,6 +103,18 @@ std::vector<uint8_t> PickH0(size_t k, size_t usable_fns, uint64_t seed) {
 
 }  // namespace
 
+const char* HabfFamilyName(HabfFamily family) {
+  switch (family) {
+    case HabfFamily::kTableII:
+      return "table-ii";
+    case HabfFamily::kDoubleXxHash:
+      return "double-xxhash";
+    case HabfFamily::kOnePass:
+      return "one-pass";
+  }
+  return "unknown";
+}
+
 Habf::Sizing Habf::ComputeSizing(const HabfOptions& options) {
   assert(options.total_bits >= 64);
   assert(options.delta >= 0.0);
@@ -67,9 +126,13 @@ Habf::Sizing Habf::ComputeSizing(const HabfOptions& options) {
   size_t num_cells = d1_bits / options.cell_bits;
   if (num_cells == 0) num_cells = 1;
 
+  // A cell addresses 2^(cell_bits-1) - 1 functions. Table II has only 22;
+  // the double-hashing families simulate as many as a cell addresses.
   const size_t family_cap = HashFamily::Global().size();
   size_t usable = (size_t{1} << (options.cell_bits - 1)) - 1;
-  if (!options.fast && usable > family_cap) usable = family_cap;
+  if (options.family == HabfFamily::kTableII && usable > family_cap) {
+    usable = family_cap;
+  }
 
   Sizing sizing;
   sizing.num_cells = num_cells;
@@ -100,18 +163,54 @@ bool Habf::Contains(std::string_view key) const {
 }
 
 size_t Habf::ContainsBatch(KeySpan keys, uint8_t* out) const {
-  // Round 1: batched H0 probe over the whole batch (prefetching loop).
-  size_t positives = bloom_.TestBatchWith(keys, h0_.data(), h0_.size(), out);
-  // Round 2: HashExpressor retrieval only for the first-round misses — on a
-  // mostly-positive batch this round touches almost nothing.
-  uint8_t fns[16];
+  const uint64_t f_seed = expressor_.f_seed();
+  if (options_.family == HabfFamily::kOnePass) {
+    return ContainsBatchFrom(
+        DigestValueSource{
+            static_cast<const OnePassHashProvider*>(provider_.get()), f_seed},
+        keys, out);
+  }
+  return ContainsBatchFrom(KeyValueSource{provider_.get(), f_seed}, keys,
+                           out);
+}
+
+template <typename Source>
+size_t Habf::ContainsBatchFrom(const Source& source, KeySpan keys,
+                               uint8_t* out) const {
+  constexpr size_t kBlock = BloomFilter::kBatchBlock;
   const size_t k = h0_.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (out[i]) continue;
-    if (expressor_.Query(keys[i], fns, k) &&
-        bloom_.TestWith(keys[i], fns, k)) {
-      out[i] = 1;
-      ++positives;
+  typename Source::State states[kBlock];
+  size_t positives = 0;
+  for (size_t base = 0; base < keys.size(); base += kBlock) {
+    const size_t count = std::min(kBlock, keys.size() - base);
+    uint8_t* block_out = out + base;
+    // Round 1: the prefetching H0 probe loop. Each key's state is loaded
+    // here, once, and round 2 reuses it.
+    positives += bloom_.TestBatchValues(
+        count, k,
+        [&](size_t i, uint64_t* values) {
+          states[i] = source.Load(keys[base + i]);
+          source.Values(states[i], h0_.data(), k, values);
+        },
+        block_out);
+    // Round 2: the HashExpressor walk and the customized subset's probes,
+    // only for the keys round 1 missed — on a mostly-positive batch this
+    // round touches almost nothing.
+    for (size_t i = 0; i < count; ++i) {
+      if (block_out[i]) continue;
+      const typename Source::State& state = states[i];
+      uint8_t fns[16];
+      if (!expressor_.Walk(
+              expressor_.CellOf(source.EntryValue(state)),
+              [&](uint8_t fn) { return source.Value(state, fn); }, fns, k)) {
+        continue;
+      }
+      uint64_t values[16];
+      source.Values(state, fns, k, values);
+      if (bloom_.TestValues(values, k)) {
+        block_out[i] = 1;
+        ++positives;
+      }
     }
   }
   return positives;
@@ -795,6 +894,7 @@ bool ParseLegacySnapshot(std::string_view data, SnapshotFields* fields) {
   fields->options.k = reader.ReadU64();
   fields->options.cell_bits = reader.ReadU8();
   fields->options.fast = reader.ReadU8() != 0;
+  fields->options.family = LegacyHabfFamily(fields->options.fast);
   fields->options.seed = reader.ReadU64();
   fields->h0_bytes = reader.ReadBytes();
   fields->dynamic_insertions = reader.ReadU64();
@@ -826,7 +926,10 @@ bool ParseHbf1Snapshot(std::string_view data, SnapshotFields* fields) {
   fields->h0_bytes = opts_reader.ReadBytes();
   fields->dynamic_insertions = opts_reader.ReadU64();
   fields->expressor_inserted = opts_reader.ReadU64();
-  if (!opts_reader.ok() || opts_reader.remaining() != 0) return false;
+  if (!opts_reader.ok() || !ReadHabfFamily(&opts_reader, &fields->options) ||
+      opts_reader.remaining() != 0) {
+    return false;
+  }
   BinaryReader bloom_reader(*bloom);
   fields->bloom_words = bloom_reader.ReadWords();
   if (!bloom_reader.ok() || bloom_reader.remaining() != 0) return false;
@@ -835,6 +938,21 @@ bool ParseHbf1Snapshot(std::string_view data, SnapshotFields* fields) {
   return cells_reader.ok() && cells_reader.remaining() == 0;
 }
 }  // namespace
+
+void WriteHabfFamily(const HabfOptions& options, BinaryWriter* writer) {
+  if (options.family != LegacyHabfFamily(options.fast)) {
+    writer->WriteU8(static_cast<uint8_t>(options.family));
+  }
+}
+
+bool ReadHabfFamily(BinaryReader* reader, HabfOptions* options) {
+  options->family = LegacyHabfFamily(options->fast);
+  if (reader->remaining() == 0) return true;
+  const uint8_t family = reader->ReadU8();
+  if (family > static_cast<uint8_t>(HabfFamily::kOnePass)) return false;
+  options->family = static_cast<HabfFamily>(family);
+  return true;
+}
 
 void Habf::Serialize(std::string* out) const {
   std::string opts;
@@ -849,6 +967,7 @@ void Habf::Serialize(std::string* out) const {
       reinterpret_cast<const char*>(h0_.data()), h0_.size()));
   opts_writer.WriteU64(dynamic_insertions_);
   opts_writer.WriteU64(expressor_.num_inserted());
+  WriteHabfFamily(options_, &opts_writer);
 
   std::string bloom;
   BinaryWriter(&bloom).WriteWords(bloom_.bits().words());
@@ -876,7 +995,7 @@ std::optional<Habf> Habf::Deserialize(std::string_view data) {
   std::vector<uint64_t>& cell_words = fields.cell_words;
   if (options.total_bits < 64 || options.total_bits > kMaxSnapshotBits ||
       options.cell_bits < 2 || options.cell_bits > 8 || options.k == 0 ||
-      options.k > 16 || !std::isfinite(options.delta) ||
+      options.k > kMaxHashesPerKey || !std::isfinite(options.delta) ||
       options.delta < 0.0 || options.delta > kMaxSnapshotDelta) {
     return std::nullopt;
   }
@@ -930,7 +1049,8 @@ Habf Habf::Build(StringSpan positives, WeightedKeySpan negatives,
         "Habf::Build: the Bloom side and the HashExpressor must each have "
         "fewer than 2^32 bits/cells (the builder indexes them in 32 bits)");
   }
-  if (effective.k > sizing.usable_fns) effective.k = sizing.usable_fns;
+  effective.k =
+      std::min({effective.k, sizing.usable_fns, kMaxHashesPerKey});
   if (effective.k == 0) effective.k = 1;
 
   Habf habf(effective, sizing);

@@ -49,6 +49,29 @@ inline std::vector<WeightedKeyView> MakeWeightedKeyViews(
   return views;
 }
 
+/// Where a filter's indexed hash functions come from (DESIGN.md §3). The
+/// family is persisted with the filter; the values are the snapshot byte.
+enum class HabfFamily : uint8_t {
+  /// The first usable functions of the paper's Table II: k real hashes of
+  /// the key per subset, plus an xxHash64 for the entry cell.
+  kTableII = 0,
+  /// Double hashing over two xxHash64 digests (the paper's f-HABF), plus
+  /// an xxHash64 for the entry cell.
+  kDoubleXxHash = 1,
+  /// Double hashing over one xxHash64 pass: the second digest and the
+  /// entry cell are mixes of the first. A query reads the key once.
+  kOnePass = 2,
+};
+
+/// Display name of a family ("table-ii", "double-xxhash", "one-pass").
+const char* HabfFamilyName(HabfFamily family);
+
+/// The family of a snapshot written before the family was persisted:
+/// Table II unless the filter is an f-HABF.
+inline HabfFamily LegacyHabfFamily(bool fast) {
+  return fast ? HabfFamily::kDoubleXxHash : HabfFamily::kTableII;
+}
+
 /// Build-time parameters (defaults are the paper's tuned values, §V-D).
 struct HabfOptions {
   /// Total space budget in bits (HashExpressor + Bloom filter).
@@ -58,7 +81,8 @@ struct HabfOptions {
   /// Paper finds 0.25 optimal (Fig. 9a).
   double delta = 0.25;
 
-  /// Number of hash functions per key; paper default 3 (Fig. 9a).
+  /// Number of hash functions per key; paper default 3 (Fig. 9a). Build
+  /// clamps it to the usable family and to 16.
   size_t k = 3;
 
   /// HashExpressor cell width in bits; paper default 4 (Fig. 9b). A cell
@@ -66,9 +90,14 @@ struct HabfOptions {
   /// prefix of the 22-function global family.
   unsigned cell_bits = 4;
 
-  /// f-HABF (§III-G): simulate the family with double hashing (two real
-  /// digests per key) and disable the Γ index / conflict detection.
+  /// f-HABF (§III-G): disable the Γ index / conflict detection, the
+  /// candidate ranking and the verification sweeps. Independent of the
+  /// hash family.
   bool fast = false;
+
+  /// Hash family. New builds default to the one-pass digest family; the
+  /// paper-figure benches set Table II (and double xxHash for f-HABF).
+  HabfFamily family = HabfFamily::kOnePass;
 
   /// Extension beyond the paper: when a collision key has no singly-mapped
   /// bit (Theorem 4.1's ~e^{-k/b}-probability failure mode), allow demoting
@@ -81,6 +110,20 @@ struct HabfOptions {
   /// Deterministic seed for H0 selection, V construction order and hashing.
   uint64_t seed = 0;
 };
+
+class BinaryReader;
+class BinaryWriter;
+
+/// Ends an options record (the HABF snapshot's OPTS section, the dynamic
+/// checkpoint's DCFG) with the family byte — unless the family is
+/// LegacyHabfFamily(options.fast), which a record without the byte
+/// implies: such records stay byte-identical to the pre-family format.
+void WriteHabfFamily(const HabfOptions& options, BinaryWriter* writer);
+
+/// Reads what WriteHabfFamily wrote, after the record's other fields
+/// (options->fast among them): the family byte if one is left, else
+/// LegacyHabfFamily(options->fast). False on an unknown family byte.
+bool ReadHabfFamily(BinaryReader* reader, HabfOptions* options);
 
 /// Construction statistics (TPJO event counts and final tallies).
 struct HabfBuildStats {
@@ -145,8 +188,10 @@ class Habf {
   bool MightContain(std::string_view key) const { return Contains(key); }
 
   /// Batched two-round query (Filter concept): round 1 runs the prefetching
-  /// H0 probe loop over the whole batch; round 2 walks the HashExpressor
-  /// only for the keys round 1 missed. out[i] = 1/0 per key; returns the
+  /// H0 probe loop over each block of keys; round 2 walks the HashExpressor
+  /// only for the keys round 1 missed. Under the one-pass family each key
+  /// is hashed once, and round 1, the walk and round 2 all derive from that
+  /// digest. out[i] = 1/0 per key, equal to Contains(); returns the
   /// positive count.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const;
 
@@ -213,6 +258,12 @@ class Habf {
   static Sizing ComputeSizing(const HabfOptions& options);
 
   Habf(const HabfOptions& options, Sizing sizing);
+
+  /// The batch query loop, templated on where a key's function values come
+  /// from (habf.cc: per function from the key, or from its digests).
+  template <typename Source>
+  size_t ContainsBatchFrom(const Source& source, KeySpan keys,
+                           uint8_t* out) const;
 
   class Builder;  // TPJO implementation (habf.cc)
 

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "hashing/xxhash.h"
-
 namespace habf {
 
 HashExpressor::HashExpressor(size_t num_cells, unsigned cell_bits,
@@ -11,20 +9,12 @@ HashExpressor::HashExpressor(size_t num_cells, unsigned cell_bits,
     : num_cells_(num_cells),
       cell_bits_(cell_bits),
       provider_(provider),
+      num_functions_(provider->NumFunctions()),
       f_seed_(f_seed),
       cells_(num_cells * cell_bits) {
   assert(num_cells >= 1);
   assert(cell_bits >= 2 && cell_bits <= 8);
   assert(provider != nullptr);
-}
-
-size_t HashExpressor::EntryCell(std::string_view key) const {
-  return static_cast<size_t>(XxHash64(key.data(), key.size(), f_seed_) %
-                             num_cells_);
-}
-
-size_t HashExpressor::NextCell(std::string_view key, uint8_t fn) const {
-  return static_cast<size_t>(provider_->Value(key, fn) % num_cells_);
 }
 
 void HashExpressor::PlanDfs(std::string_view key, size_t cell,
@@ -131,23 +121,6 @@ bool HashExpressor::Insert(std::string_view key, const uint8_t* fns,
   if (!plan.ok) return false;
   Commit(plan);
   return true;
-}
-
-bool HashExpressor::QueryFrom(std::string_view key, size_t entry_cell,
-                              uint8_t* fns, size_t n) const {
-  assert(n >= 1);
-  size_t cell = entry_cell;
-  for (size_t i = 0;; ++i) {
-    const Cell c = ReadCell(cell);
-    if (c.hashindex == 0) return false;
-    const uint8_t fn = static_cast<uint8_t>(c.hashindex - 1);
-    if (fn >= provider_->NumFunctions()) return false;
-    fns[i] = fn;
-    // The n-th cell ends the walk: its endbit is the answer, and the cell
-    // its function would address next is never read.
-    if (i + 1 == n) return c.endbit;
-    cell = NextCell(key, fn);
-  }
 }
 
 double HashExpressor::FillRatio() const {

@@ -19,6 +19,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -75,10 +76,46 @@ class HashExpressor {
   /// Query() from a precomputed `entry_cell` == EntryCell(key), for callers
   /// that probe one key many times against a changing table (the builder).
   bool QueryFrom(std::string_view key, size_t entry_cell, uint8_t* fns,
-                 size_t n) const;
+                 size_t n) const {
+    return Walk(
+        entry_cell, [&](uint8_t fn) { return provider_->Value(key, fn); },
+        fns, n);
+  }
+
+  /// The one chain walk behind Query and the batched HABF query: starts at
+  /// `entry_cell`, and `value_of(fn)` returns the raw value of family
+  /// function `fn` on the key (reduced mod ω to the next cell). A caller
+  /// holding the key's digests steps without hashing the key again.
+  template <typename ValueOf>
+  bool Walk(size_t entry_cell, ValueOf&& value_of, uint8_t* fns,
+            size_t n) const {
+    assert(n >= 1);
+    size_t cell = entry_cell;
+    for (size_t i = 0;; ++i) {
+      const Cell c = ReadCell(cell);
+      if (c.hashindex == 0) return false;
+      const uint8_t fn = static_cast<uint8_t>(c.hashindex - 1);
+      if (fn >= num_functions_) return false;
+      fns[i] = fn;
+      // The n-th cell ends the walk: its endbit is the answer, and the cell
+      // its function would address next is never read.
+      if (i + 1 == n) return c.endbit;
+      cell = CellOf(value_of(fn));
+    }
+  }
 
   /// The cell a key's chain starts at: the dedicated function f, mod ω.
-  size_t EntryCell(std::string_view key) const;
+  size_t EntryCell(std::string_view key) const {
+    return CellOf(provider_->EntryValue(key, f_seed_));
+  }
+
+  /// The cell a raw family (or entry) value addresses: value mod ω.
+  size_t CellOf(uint64_t value) const {
+    return static_cast<size_t>(value % num_cells_);
+  }
+
+  /// Seed of the entry function f (what HashProvider::EntryValue takes).
+  uint64_t f_seed() const { return f_seed_; }
 
   /// Number of keys committed so far (the t of the Fh <= t/ω bound).
   size_t num_inserted() const { return num_inserted_; }
@@ -122,7 +159,9 @@ class HashExpressor {
                         (endbit ? 1u : 0u));
   }
 
-  size_t NextCell(std::string_view key, uint8_t fn) const;
+  size_t NextCell(std::string_view key, uint8_t fn) const {
+    return CellOf(provider_->Value(key, fn));
+  }
 
   // Depth-first search over storage orders; keeps the best (max overlap)
   // feasible plan in `best`. `node_budget` caps the number of visited
@@ -136,6 +175,7 @@ class HashExpressor {
   size_t num_cells_;
   unsigned cell_bits_;
   const HashProvider* provider_;
+  size_t num_functions_;  // provider_->NumFunctions(), read by every walk
   uint64_t f_seed_;
   size_t num_inserted_ = 0;
   BitVector cells_;

@@ -1,11 +1,15 @@
 // Indexed hash providers used by the HABF core and the Bloom substrate.
 //
-// A provider presents N indexed hash functions over string keys. Two
+// A provider presents N indexed hash functions over string keys. Three
 // implementations:
-//  * GlobalHashProvider — the first N distinct functions of Table II (HABF).
+//  * GlobalHashProvider — the first N distinct functions of Table II (the
+//    paper's HABF).
 //  * DoubleHashProvider — the Kirsch-Mitzenmacher simulated family
-//    g_i(x) = h1(x) + (i+1) * h2(x), computing only two real digests per key
-//    (f-HABF, §III-G).
+//    g_i(x) = h1(x) + (i+1) * h2(x), with two real xxHash64 digests per key
+//    (the paper's f-HABF, §III-G).
+//  * OnePassHashProvider — the same simulated family from one xxHash64 per
+//    key: h2 is a mix of h1, and so is the HashExpressor's entry value. The
+//    HABF default (DESIGN.md §3).
 
 #pragma once
 
@@ -38,6 +42,27 @@ class HashProvider {
 
   /// Display name of function `idx`.
   virtual const char* Name(size_t idx) const = 0;
+
+  /// Raw value of the HashExpressor's dedicated entry function f seeded
+  /// with `f_seed` (reduced mod ω to a key's first cell). By default an
+  /// xxHash64 of the key of its own.
+  virtual uint64_t EntryValue(std::string_view key, uint64_t f_seed) const {
+    return XxHash64(key.data(), key.size(), f_seed);
+  }
+};
+
+/// The two digests of a key under a double-hashing family: function i is
+/// h1 + (i+1) * h2. The providers make h2 odd, so the stride is coprime to
+/// any power-of-two modulus.
+struct HashDigests {
+  uint64_t h1;
+  uint64_t h2;
+  uint64_t Value(size_t idx) const {
+    return h1 + (static_cast<uint64_t>(idx) + 1) * h2;
+  }
+  void Values(const uint8_t* idxs, size_t n, uint64_t* out) const {
+    for (size_t i = 0; i < n; ++i) out[i] = Value(idxs[i]);
+  }
 };
 
 /// The first `count` distinct functions of the global Table II family.
@@ -65,14 +90,8 @@ class DoubleHashProvider final : public HashProvider {
  public:
   explicit DoubleHashProvider(size_t count, uint64_t seed = 0);
 
-  /// The two real digests of a key; function i is h1 + (i+1) * h2.
-  struct Digests {
-    uint64_t h1;
-    uint64_t h2;
-    uint64_t Value(size_t idx) const {
-      return h1 + (static_cast<uint64_t>(idx) + 1) * h2;
-    }
-  };
+  /// The two real digests of a key.
+  using Digests = HashDigests;
 
   size_t NumFunctions() const override { return count_; }
 
@@ -88,8 +107,48 @@ class DoubleHashProvider final : public HashProvider {
 
   void Values(std::string_view key, const uint8_t* idxs, size_t n,
               uint64_t* out) const override {
-    const Digests d = DigestsOf(key);
-    for (size_t i = 0; i < n; ++i) out[i] = d.Value(idxs[i]);
+    DigestsOf(key).Values(idxs, n, out);
+  }
+
+  const char* Name(size_t idx) const override;
+
+ private:
+  size_t count_;
+  uint64_t seed1_;
+  uint64_t seed2_;
+};
+
+/// The one-pass digest family: h1 = xxHash64(key), h2 = Fmix64(h1 ^ s2) | 1,
+/// `count` simulated functions g_i = h1 + (i+1) * h2, and the entry value
+/// Fmix64(h1 ^ f_seed). A key is read once; everything else is mixing.
+class OnePassHashProvider final : public HashProvider {
+ public:
+  explicit OnePassHashProvider(size_t count, uint64_t seed = 0);
+
+  size_t NumFunctions() const override { return count_; }
+
+  /// The key's digests: its one xxHash64 pass plus one mix.
+  HashDigests DigestsOf(std::string_view key) const {
+    const uint64_t h1 = XxHash64(key.data(), key.size(), seed1_);
+    return {h1, Fmix64(h1 ^ seed2_) | 1u};
+  }
+
+  /// EntryValue() from the key's digests.
+  static uint64_t EntryValueOf(const HashDigests& d, uint64_t f_seed) {
+    return Fmix64(d.h1 ^ f_seed);
+  }
+
+  uint64_t Value(std::string_view key, size_t idx) const override {
+    return DigestsOf(key).Value(idx);
+  }
+
+  void Values(std::string_view key, const uint8_t* idxs, size_t n,
+              uint64_t* out) const override {
+    DigestsOf(key).Values(idxs, n, out);
+  }
+
+  uint64_t EntryValue(std::string_view key, uint64_t f_seed) const override {
+    return EntryValueOf(DigestsOf(key), f_seed);
   }
 
   const char* Name(size_t idx) const override;

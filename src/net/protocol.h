@@ -90,7 +90,8 @@ inline constexpr uint8_t kOpStatsResponse = 8;
 inline constexpr uint8_t kErrBadFrame = 1;     // framing/CRC; connection closes
 inline constexpr uint8_t kErrBadOp = 2;        // unknown op
 inline constexpr uint8_t kErrBadPayload = 3;   // malformed op payload
-inline constexpr uint8_t kErrUnsupported = 4;  // mutation on a static backend
+inline constexpr uint8_t kErrUnsupported = 4;  // mutation refused: static
+                                               // backend, or the WAL failed
 inline constexpr uint8_t kErrDraining = 5;     // server shutting down
 
 /// kOpQueryResponse / kOpMutateResponse status byte.

@@ -452,6 +452,7 @@ bool Server::ProcessBuffered(Worker& worker, Connection& conn) {
                     frame.op == kOpInsert,
                     KeySpan(frame_keys.data(), frame_keys.size()), &applied,
                     &mutate_error)) {
+              keys_mutated_.fetch_add(applied, std::memory_order_relaxed);
               payload.clear();
               AppendErrorPayload(&payload, kErrUnsupported, mutate_error);
               if (!append_out(frame.request_id, kOpError, payload)) {

@@ -67,7 +67,8 @@ class ServerBackend {
   virtual size_t QueryBatch(KeySpan keys, uint8_t* out) const = 0;
 
   /// Applies an insert (or remove) batch in order. Returns false with
-  /// *error when unsupported or failed; *applied = keys applied.
+  /// *error when unsupported or failed; *applied = keys applied (and
+  /// acknowledged) before the failure.
   virtual bool Mutate(bool insert, KeySpan keys, uint64_t* applied,
                       std::string* error) {
     (void)insert;
@@ -112,17 +113,20 @@ class DynamicBackend : public ServerBackend {
     return filter_->ContainsBatch(keys, out);
   }
 
+  /// Applies the keys in order and stops at the first one the filter does
+  /// not acknowledge (its WAL failed): the keys before it are durable, and
+  /// the frame answers an error.
   bool Mutate(bool insert, KeySpan keys, uint64_t* applied,
               std::string* error) override {
-    (void)error;
+    *applied = 0;
     for (const std::string_view key : keys) {
-      if (insert) {
-        filter_->Insert(key);
-      } else {
-        filter_->Remove(key);
+      if (!(insert ? filter_->Insert(key) : filter_->Remove(key))) {
+        *error = "mutation not durable: the WAL failed and the filter is "
+                 "read-only";
+        return false;
       }
+      ++*applied;
     }
-    *applied = keys.size();
     return true;
   }
 

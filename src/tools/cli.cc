@@ -538,12 +538,12 @@ int CmdStats(const Flags& flags, std::string* out, std::string* err) {
   char line[512];
   std::snprintf(
       line, sizeof(line),
-      "total_bits=%zu delta=%.3f k=%zu cell_bits=%u fast=%d %s "
+      "total_bits=%zu delta=%.3f k=%zu cell_bits=%u fast=%d family=%s %s "
       "shards=%zu\n"
       "bloom_bits=%zu expressor_cells=%zu expressor_inserted=%zu\n"
       "memory_bytes=%zu dynamic_insertions=%zu\n",
       total_bits, options.delta, options.k, options.cell_bits,
-      options.fast ? 1 : 0, origin, filter->num_shards(), bloom_bits,
+      options.fast ? 1 : 0, HabfFamilyName(options.family), origin, filter->num_shards(), bloom_bits,
       expressor_cells, expressor_inserted, filter->MemoryUsageBytes(),
       dynamic_insertions);
   *out += line;

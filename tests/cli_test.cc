@@ -122,6 +122,8 @@ TEST_F(CliTest, BuildHonorsTuningFlags) {
   EXPECT_NE(out_.find("k=4"), std::string::npos);
   EXPECT_NE(out_.find("cell_bits=5"), std::string::npos);
   EXPECT_NE(out_.find("fast=1"), std::string::npos);
+  // --fast drops Γ only; a new build takes the one-pass family either way.
+  EXPECT_NE(out_.find("family=one-pass"), std::string::npos);
 }
 
 TEST_F(CliTest, UsageErrors) {

@@ -3,11 +3,16 @@
 // crash point — WAL truncated at every record boundary and mid-record
 // (recovery succeeds on the durable prefix with zero false negatives), and
 // bit-flipped snapshot sections or complete-but-damaged WAL records must
-// fail recovery naming the corrupt section/record.
+// fail recovery naming the corrupt section/record. A WAL write that fails
+// (a file-size limit in a forked child) must not be acknowledged, and the
+// filter must refuse every mutation after it.
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -18,6 +23,7 @@
 
 #include "core/delta_wal.h"
 #include "core/dynamic_filter.h"
+#include "net/server.h"
 #include "util/serde.h"
 
 namespace habf {
@@ -287,6 +293,114 @@ TEST_F(CrashRecoveryTest, FrontRotationGrowsAndShrinksWithTheDelta) {
   for (size_t i = 0; i < 2000; ++i) {
     EXPECT_TRUE(filter.MightContain("grow-" + std::to_string(i))) << i;
   }
+}
+
+// --- a failing WAL write --------------------------------------------------
+
+/// What the forked child reports through its pipe.
+struct WalFailureReport {
+  uint32_t acked = 0;            // mutations acknowledged before the failure
+  uint8_t failed_op_refused = 0;  // the failing mutation returned false
+  uint8_t durable_after = 1;     // durable() after the failure
+  uint8_t later_refused = 0;     // later Insert and Remove returned false
+  uint8_t refused_remove_kept = 0;  // a refused Remove left its key a member
+  uint8_t frame_refused = 0;     // DynamicBackend::Mutate failed, 0 applied
+};
+
+/// Mutation `i` of the sequence the child applies: every third one removes
+/// a base key, the rest insert new keys.
+bool OpIsInsert(size_t i) { return i % 3 != 2; }
+std::string OpKey(size_t i) {
+  return OpIsInsert(i) ? "acked-" + std::to_string(i)
+                       : "base-" + std::to_string(i);
+}
+
+TEST_F(CrashRecoveryTest, FailedWalWriteIsNeverAckedAndRefusesLaterMutations) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest assertions here; the report goes up the pipe, and
+    // _exit skips every destructor, as a crash would.
+    ::close(fds[0]);
+    WalFailureReport report;
+    ShardedBuildOptions sharding = FourShards();
+    sharding.num_threads = 1;
+    DynamicShardedHabf filter(MakeKeys("base-", 800), {}, SmallOptions(),
+                              sharding);
+    if (!filter.EnableDurability(dir_)) ::_exit(3);
+    // Room for a few records past the WAL header, then EFBIG (SIGXFSZ
+    // ignored, so the write fails instead of killing the process).
+    struct stat st;
+    if (::stat(WalFilePath(dir_, filter.wal_epoch()).c_str(), &st) != 0) {
+      ::_exit(4);
+    }
+    ::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit limit;
+    ::getrlimit(RLIMIT_FSIZE, &limit);
+    limit.rlim_cur = static_cast<rlim_t>(st.st_size) + 160;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(5);
+    size_t i = 0;
+    for (; i < 1000; ++i) {
+      const bool ok = OpIsInsert(i) ? filter.Insert(OpKey(i))
+                                    : filter.Remove(OpKey(i));
+      if (!ok) break;
+    }
+    report.acked = static_cast<uint32_t>(i);
+    report.failed_op_refused = i < 1000;
+    report.durable_after = filter.durable();
+    report.later_refused =
+        !filter.Insert("late-insert") && !filter.Remove("base-1");
+    report.refused_remove_kept = filter.MightContain("base-1");
+    net::DynamicBackend backend(&filter);
+    const std::vector<std::string_view> frame = {"frame-a", "frame-b"};
+    uint64_t applied = 99;
+    std::string error;
+    report.frame_refused =
+        !backend.Mutate(true, KeySpan(frame.data(), frame.size()), &applied,
+                        &error) &&
+        applied == 0 && !error.empty();
+    const bool sent =
+        ::write(fds[1], &report, sizeof(report)) == sizeof(report);
+    ::_exit(sent ? 0 : 6);
+  }
+  ::close(fds[1]);
+  WalFailureReport report;
+  const ssize_t got = ::read(fds[0], &report, sizeof(report));
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(report)));
+  EXPECT_GT(report.acked, 0u);
+  EXPECT_LT(report.acked, 20u) << "the file-size limit never bit";
+  EXPECT_TRUE(report.failed_op_refused);
+  EXPECT_FALSE(report.durable_after);
+  EXPECT_TRUE(report.later_refused);
+  EXPECT_TRUE(report.refused_remove_kept);
+  EXPECT_TRUE(report.frame_refused);
+
+  // The log holds exactly the acknowledged mutations (the failing record
+  // is at most a torn tail), in order.
+  const WalReplayResult replay = ReplayWalDir(dir_, 0, 0);
+  ASSERT_TRUE(replay.ok()) << replay.error;
+  ASSERT_EQ(replay.records.size(), report.acked);
+  for (size_t i = 0; i < replay.records.size(); ++i) {
+    EXPECT_EQ(replay.records[i].key, OpKey(i)) << i;
+    EXPECT_EQ(replay.records[i].inserted, OpIsInsert(i)) << i;
+  }
+  // Recovery answers every acknowledged mutation; the refused ones never
+  // reached the log, so base-1 (whose Remove was refused) is a member.
+  std::string error;
+  auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  for (size_t i = 0; i < report.acked; ++i) {
+    EXPECT_EQ(reopened->MightContain(OpKey(i)), OpIsInsert(i)) << OpKey(i);
+  }
+  EXPECT_TRUE(reopened->MightContain("base-1"));
+  EXPECT_TRUE(reopened->durable());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sharded_filter.h"
@@ -306,13 +307,40 @@ TEST(HabfTest, KClampedToUsableFamily) {
   EXPECT_EQ(CountFalseNegatives(filter, data.positives), 0u);
 }
 
+TEST(HabfTest, KClampedToSixteen) {
+  // Wide cells address more functions than a key's subset arrays hold (127
+  // under the double-hashing families, 22 under Table II): k stops at 16.
+  const Dataset data = SmallDataset(2000, 2000);
+  for (const HabfFamily family : {HabfFamily::kTableII,
+                                  HabfFamily::kDoubleXxHash,
+                                  HabfFamily::kOnePass}) {
+    HabfOptions options = DefaultOptions(2000 * 40);
+    options.family = family;
+    options.cell_bits = 8;
+    options.k = 40;
+    const Habf filter = Habf::Build(data.positives, data.negatives, options);
+    EXPECT_EQ(filter.options().k, 16u);
+    EXPECT_EQ(CountFalseNegatives(filter, data.positives), 0u);
+    std::vector<std::string_view> keys;
+    for (const WeightedKey& wk : data.negatives) keys.push_back(wk.key);
+    std::vector<uint8_t> out(keys.size());
+    filter.ContainsBatch(KeySpan(keys.data(), keys.size()), out.data());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(out[i], filter.Contains(keys[i]) ? 1 : 0) << keys[i];
+    }
+  }
+}
+
 // --- pinned build output ---------------------------------------------------
 //
 // XxHash64 of the Serialize() bytes of fixed-seed builds. The builder is
 // deterministic, and its construction-time indexes (V, the position
 // tables, Γ) are bookkeeping only: a speedup of the build must leave every
 // bit of the filter where it was. A change that moves one fails here by
-// name. The digests were recorded before the builder cached key positions.
+// name. The digests of the paper's families (Table II, and double xxHash
+// for f-HABF) were recorded before the builder cached key positions; their
+// snapshots carry no family byte, so the bytes are the pre-family format.
+// The OnePass* digests pin the default family.
 
 template <typename F>
 uint64_t SnapshotDigest(const F& filter) {
@@ -324,6 +352,7 @@ uint64_t SnapshotDigest(const F& filter) {
 TEST(HabfBuildPin, DefaultOptions) {
   const Dataset data = SmallDataset(20000, 20000);
   HabfOptions options = DefaultOptions(20000 * 10);
+  options.family = HabfFamily::kTableII;
   options.seed = 5;
   const Habf filter = Habf::Build(data.positives, data.negatives, options);
   ASSERT_GT(filter.stats().optimized, 0u);
@@ -333,6 +362,7 @@ TEST(HabfBuildPin, DefaultOptions) {
 TEST(HabfBuildPin, DoubleAdjustment) {
   const Dataset data = SmallDataset(20000, 20000, /*seed=*/91);
   HabfOptions options = DefaultOptions(20000 * 6);
+  options.family = HabfFamily::kTableII;
   options.allow_double_adjustment = true;
   const Habf filter = Habf::Build(data.positives, data.negatives, options);
   ASSERT_GT(filter.stats().double_adjustments, 0u);
@@ -343,6 +373,7 @@ TEST(HabfBuildPin, FastVariant) {
   const Dataset data = SmallDataset(20000, 20000);
   HabfOptions options = DefaultOptions(20000 * 10);
   options.fast = true;
+  options.family = HabfFamily::kDoubleXxHash;
   options.seed = 9;
   const Habf filter = Habf::Build(data.positives, data.negatives, options);
   ASSERT_GT(filter.stats().optimized, 0u);
@@ -352,6 +383,7 @@ TEST(HabfBuildPin, FastVariant) {
 TEST(HabfBuildPin, NarrowCellsWithClampedK) {
   const Dataset data = SmallDataset(20000, 20000);
   HabfOptions options = DefaultOptions(20000 * 10);
+  options.family = HabfFamily::kTableII;
   options.cell_bits = 3;
   options.k = 8;
   const Habf filter = Habf::Build(data.positives, data.negatives, options);
@@ -359,9 +391,45 @@ TEST(HabfBuildPin, NarrowCellsWithClampedK) {
   EXPECT_EQ(SnapshotDigest(filter), 0xF6E44293D2FC3990ULL);
 }
 
-TEST(HabfBuildPin, ShardedTwoChoiceSameBytesOnOneAndFourThreads) {
+TEST(HabfBuildPin, OnePassDefaultOptions) {
+  const Dataset data = SmallDataset(20000, 20000);
+  HabfOptions options = DefaultOptions(20000 * 10);
+  options.seed = 5;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_EQ(filter.options().family, HabfFamily::kOnePass);
+  ASSERT_GT(filter.stats().optimized, 0u);
+  EXPECT_EQ(SnapshotDigest(filter), 0xFAD52CBBD0C6DA95ULL);
+}
+
+TEST(HabfBuildPin, OnePassFastVariant) {
+  const Dataset data = SmallDataset(20000, 20000);
+  HabfOptions options = DefaultOptions(20000 * 10);
+  options.fast = true;
+  options.seed = 9;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  ASSERT_GT(filter.stats().optimized, 0u);
+  EXPECT_EQ(SnapshotDigest(filter), 0x79E477B01FC7E755ULL);
+}
+
+TEST(HabfBuildPin, OnePassShardedTwoChoiceSameBytesOnOneAndFourThreads) {
   const Dataset data = SmallDataset(40000, 40000, /*seed=*/23);
   const HabfOptions options = DefaultOptions(40000 * 10);
+  ShardedBuildOptions sharding;
+  sharding.num_shards = 8;
+  sharding.routing = RoutingMode::kTwoChoice;
+  for (size_t threads : {1, 4}) {
+    sharding.num_threads = threads;
+    const ShardedFilter<Habf> filter =
+        BuildShardedHabf(data.positives, data.negatives, options, sharding);
+    EXPECT_EQ(SnapshotDigest(filter), 0xF3037AD4B3079420ULL)
+        << threads << " threads";
+  }
+}
+
+TEST(HabfBuildPin, ShardedTwoChoiceSameBytesOnOneAndFourThreads) {
+  const Dataset data = SmallDataset(40000, 40000, /*seed=*/23);
+  HabfOptions options = DefaultOptions(40000 * 10);
+  options.family = HabfFamily::kTableII;
   ShardedBuildOptions sharding;
   sharding.num_shards = 8;
   sharding.routing = RoutingMode::kTwoChoice;
