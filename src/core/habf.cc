@@ -150,28 +150,47 @@ Habf::Habf(const HabfOptions& options, Sizing sizing)
       expressor_(sizing.num_cells, options.cell_bits, provider_.get(),
                  options.seed ^ kEntrySeed) {}
 
-bool Habf::Contains(std::string_view key) const {
-  // Round 1: the shared initial subset H0.
-  if (bloom_.TestWith(key, h0_.data(), h0_.size())) return true;
-  // Round 2: customized subset from the HashExpressor, if any.
-  uint8_t fns[16];
-  const size_t k = h0_.size();
-  if (expressor_.Query(key, fns, k) && bloom_.TestWith(key, fns, k)) {
-    return true;
+template <typename Fn>
+decltype(auto) Habf::WithValueSource(Fn&& fn) const {
+  const uint64_t f_seed = expressor_.f_seed();
+  if (options_.family == HabfFamily::kOnePass) {
+    return fn(DigestValueSource{
+        static_cast<const OnePassHashProvider*>(provider_.get()), f_seed});
   }
-  return false;
+  return fn(KeyValueSource{provider_.get(), f_seed});
+}
+
+bool Habf::Contains(std::string_view key) const {
+  return WithValueSource([&](const auto& source) {
+    const auto state = source.Load(key);
+    // Round 1: the shared initial subset H0.
+    uint64_t values[16];
+    source.Values(state, h0_.data(), h0_.size(), values);
+    return bloom_.TestValues(values, h0_.size()) ||
+           SecondRoundFrom(source, state);
+  });
 }
 
 size_t Habf::ContainsBatch(KeySpan keys, uint8_t* out) const {
-  const uint64_t f_seed = expressor_.f_seed();
-  if (options_.family == HabfFamily::kOnePass) {
-    return ContainsBatchFrom(
-        DigestValueSource{
-            static_cast<const OnePassHashProvider*>(provider_.get()), f_seed},
-        keys, out);
+  return WithValueSource([&](const auto& source) {
+    return ContainsBatchFrom(source, keys, out);
+  });
+}
+
+template <typename Source>
+bool Habf::SecondRoundFrom(const Source& source,
+                           const typename Source::State& state) const {
+  // The customized subset from the HashExpressor, if any.
+  const size_t k = h0_.size();
+  uint8_t fns[16];
+  if (!expressor_.Walk(
+          expressor_.CellOf(source.EntryValue(state)),
+          [&](uint8_t fn) { return source.Value(state, fn); }, fns, k)) {
+    return false;
   }
-  return ContainsBatchFrom(KeyValueSource{provider_.get(), f_seed}, keys,
-                           out);
+  uint64_t values[16];
+  source.Values(state, fns, k, values);
+  return bloom_.TestValues(values, k);
 }
 
 template <typename Source>
@@ -197,17 +216,7 @@ size_t Habf::ContainsBatchFrom(const Source& source, KeySpan keys,
     // only for the keys round 1 missed — on a mostly-positive batch this
     // round touches almost nothing.
     for (size_t i = 0; i < count; ++i) {
-      if (block_out[i]) continue;
-      const typename Source::State& state = states[i];
-      uint8_t fns[16];
-      if (!expressor_.Walk(
-              expressor_.CellOf(source.EntryValue(state)),
-              [&](uint8_t fn) { return source.Value(state, fn); }, fns, k)) {
-        continue;
-      }
-      uint64_t values[16];
-      source.Values(state, fns, k, values);
-      if (bloom_.TestValues(values, k)) {
+      if (!block_out[i] && SecondRoundFrom(source, states[i])) {
         block_out[i] = 1;
         ++positives;
       }
@@ -276,6 +285,11 @@ class Habf::Builder {
                    uint32_t* out) const {
     uint64_t values[16];
     habf_.provider_->Values(key, fns, k_, values);
+    PositionsOfValues(values, out);
+  }
+
+  /// The k Bloom positions of k raw family values.
+  void PositionsOfValues(const uint64_t* values, uint32_t* out) const {
     for (size_t i = 0; i < k_; ++i) {
       out[i] = static_cast<uint32_t>(values[i] % habf_.bloom_.num_bits());
     }
@@ -480,21 +494,28 @@ void Habf::Builder::BuildInitialFilterAndV() {
 void Habf::Builder::BuildCollisionQueue() {
   // The one pass that evaluates the negatives' H0 and f: it fills the
   // probe table that every later round-1 probe of a negative reads.
+  // A key's H0 values and its entry value come from one state, so under the
+  // one-pass family each negative is hashed once.
   neg_probes_.resize(negatives_.size() * (k_ + 1));
   std::vector<int32_t> collisions;
-  for (size_t i = 0; i < negatives_.size(); ++i) {
-    if (i + kPrefetchDistance < negatives_.size()) {
-      __builtin_prefetch(negatives_[i + kPrefetchDistance].key.data());
+  habf_.WithValueSource([&](const auto& source) {
+    for (size_t i = 0; i < negatives_.size(); ++i) {
+      if (i + kPrefetchDistance < negatives_.size()) {
+        __builtin_prefetch(negatives_[i + kPrefetchDistance].key.data());
+      }
+      const auto state = source.Load(negatives_[i].key);
+      uint64_t values[16];
+      source.Values(state, habf_.h0_.data(), k_, values);
+      uint32_t* row = &neg_probes_[i * (k_ + 1)];
+      PositionsOfValues(values, row);
+      row[k_] = static_cast<uint32_t>(
+          habf_.expressor_.CellOf(source.EntryValue(state)));
+      if (AllSet(row)) {
+        neg_state_[i] = NegState::kCollision;
+        collisions.push_back(static_cast<int32_t>(i));
+      }
     }
-    const std::string_view key = negatives_[i].key;
-    uint32_t* row = &neg_probes_[i * (k_ + 1)];
-    PositionsOf(key, habf_.h0_.data(), row);
-    row[k_] = static_cast<uint32_t>(habf_.expressor_.EntryCell(key));
-    if (AllSet(row)) {
-      neg_state_[i] = NegState::kCollision;
-      collisions.push_back(static_cast<int32_t>(i));
-    }
-  }
+  });
   // Most costly first (phase-I ordering).
   std::stable_sort(collisions.begin(), collisions.end(),
                    [&](int32_t a, int32_t b) {

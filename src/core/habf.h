@@ -259,11 +259,23 @@ class Habf {
 
   Habf(const HabfOptions& options, Sizing sizing);
 
-  /// The batch query loop, templated on where a key's function values come
-  /// from (habf.cc: per function from the key, or from its digests).
+  /// Calls `fn(source)` with the value source of this filter's family
+  /// (habf.cc: per function from the key, or from its digests) and returns
+  /// its result. Every query path and the builder's negative pass get a
+  /// key's function values through it, so each key is loaded once.
+  template <typename Fn>
+  decltype(auto) WithValueSource(Fn&& fn) const;
+
+  /// The batch query loop over a value source.
   template <typename Source>
   size_t ContainsBatchFrom(const Source& source, KeySpan keys,
                            uint8_t* out) const;
+
+  /// Round 2 of one key whose state `source` has loaded: the HashExpressor
+  /// walk, then the customized subset's probes.
+  template <typename Source>
+  bool SecondRoundFrom(const Source& source,
+                       const typename Source::State& state) const;
 
   class Builder;  // TPJO implementation (habf.cc)
 

@@ -565,7 +565,8 @@ bool Server::FlushOutput(Worker& worker, Connection& conn) {
 }
 
 void Server::UpdateInterest(Worker& worker, Connection& conn) {
-  uint32_t want = (conn.want_read && !conn.read_paused) ? EPOLLIN : 0;
+  uint32_t want =
+      (conn.want_read && !conn.read_paused) ? uint32_t{EPOLLIN} : 0u;
   if (conn.out_pos < conn.out.size()) want |= EPOLLOUT;
   if (want == conn.registered_events) return;
   worker.loop.Modify(conn.fd, want);

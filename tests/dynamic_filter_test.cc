@@ -92,7 +92,9 @@ TEST(DynamicFilterTest, RemoveMasksKeyUntilCompaction) {
   EXPECT_FALSE(filter.MightContain(positives[42]));
   // Everyone else keeps the zero-FN guarantee.
   for (size_t i = 0; i < positives.size(); ++i) {
-    if (i != 42) EXPECT_TRUE(filter.MightContain(positives[i])) << i;
+    if (i != 42) {
+      EXPECT_TRUE(filter.MightContain(positives[i])) << i;
+    }
   }
   const CompactionReport report = filter.CompactDirtyShards();
   EXPECT_EQ(report.shards_rebuilt, 1u);
@@ -100,7 +102,9 @@ TEST(DynamicFilterTest, RemoveMasksKeyUntilCompaction) {
   // After compaction the key is a plain non-member: the rebuilt shard may
   // false-positive on it (one-sided error), but the rest must still hit.
   for (size_t i = 0; i < positives.size(); ++i) {
-    if (i != 42) EXPECT_TRUE(filter.MightContain(positives[i])) << i;
+    if (i != 42) {
+      EXPECT_TRUE(filter.MightContain(positives[i])) << i;
+    }
   }
   EXPECT_EQ(filter.delta_size(), 0u);
 }

@@ -183,7 +183,7 @@ TEST(Crc32Test, MatchesKnownVector) {
 TEST(Crc32Test, EmptyInputIsZero) { EXPECT_EQ(Crc32("", 0, 0), 0u); }
 
 // The bit-serial definition of the reflected IEEE CRC-32: the oracle that
-// the table-driven Crc32 must match bit for bit.
+// every kernel behind Crc32 must match bit for bit.
 uint32_t ReferenceCrc32(const uint8_t* data, size_t len, uint32_t init) {
   uint32_t crc = ~init;
   for (size_t i = 0; i < len; ++i) {
@@ -202,35 +202,82 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return bytes;
 }
 
-TEST(Crc32Test, MatchesBitSerialReferenceAtEveryLengthOffsetAndInit) {
+using Crc32Kernel = uint32_t (*)(const void*, size_t, uint32_t);
+
+void ExpectMatchesBitSerialReference(Crc32Kernel crc32, const char* name) {
   constexpr size_t kBig = size_t{64} << 10;
-  const std::vector<uint8_t> buffer = RandomBytes(kBig + 8, 11);
+  constexpr size_t kHuge = size_t{1} << 20;
+  const std::vector<uint8_t> buffer = RandomBytes(kHuge + 16, 11);
   std::vector<size_t> lengths;
   for (size_t len = 0; len <= 1024; ++len) lengths.push_back(len);
   lengths.push_back(kBig);
-  // Offsets 0..7 put the 8-byte loads at every alignment.
-  for (size_t offset = 0; offset < 8; ++offset) {
+  // Offsets 0..15 put the fold's 16-byte loads and the portable loop's
+  // 8-byte loads at every alignment.
+  for (size_t offset = 0; offset < 16; ++offset) {
     for (const uint32_t init : {0u, 0xFFFFFFFFu, 0xDEADBEEFu}) {
       for (const size_t len : lengths) {
         const uint8_t* p = buffer.data() + offset;
-        ASSERT_EQ(Crc32(p, len, init), ReferenceCrc32(p, len, init))
-            << "len=" << len << " offset=" << offset << " init=" << init;
+        ASSERT_EQ(crc32(p, len, init), ReferenceCrc32(p, len, init))
+            << name << " len=" << len << " offset=" << offset
+            << " init=" << init;
+      }
+    }
+  }
+  // One buffer of a mebibyte and change: thousands of 64-byte fold steps,
+  // then the 16-byte steps and the portable tail.
+  for (const size_t offset : {size_t{0}, size_t{5}}) {
+    const uint8_t* p = buffer.data() + offset;
+    ASSERT_EQ(crc32(p, kHuge + 11, 0x12345678u),
+              ReferenceCrc32(p, kHuge + 11, 0x12345678u))
+        << name << " offset=" << offset;
+  }
+}
+
+void ExpectChainingEqualsOneCall(Crc32Kernel crc32, const char* name) {
+  // Buffer sizes on and around the fold's 64- and 16-byte boundaries; every
+  // split puts the head and the tail on each side of them too.
+  for (const size_t size : {63, 64, 65, 79, 80, 300, 1031}) {
+    const std::vector<uint8_t> buffer = RandomBytes(size, 12 + size);
+    for (const uint32_t init : {0u, 0xDEADBEEFu}) {
+      const uint32_t whole = crc32(buffer.data(), buffer.size(), init);
+      ASSERT_EQ(whole, ReferenceCrc32(buffer.data(), buffer.size(), init))
+          << name << " size=" << size;
+      for (size_t split = 0; split <= buffer.size(); ++split) {
+        const uint32_t head = crc32(buffer.data(), split, init);
+        EXPECT_EQ(crc32(buffer.data() + split, buffer.size() - split, head),
+                  whole)
+            << name << " size=" << size << " split=" << split
+            << " init=" << init;
       }
     }
   }
 }
 
+// Crc32 runs whichever kernel this CPU selects; the portable loop runs here
+// directly, so it is covered at every length on a CPU with the fold too.
+TEST(Crc32Test, MatchesBitSerialReferenceAtEveryLengthOffsetAndInit) {
+  ExpectMatchesBitSerialReference(&Crc32, "Crc32");
+  ExpectMatchesBitSerialReference(&Crc32Portable, "Crc32Portable");
+}
+
 TEST(Crc32Test, ChainingEqualsOneCallOverTheConcatenation) {
-  const std::vector<uint8_t> buffer = RandomBytes(300, 12);
-  for (const uint32_t init : {0u, 0xDEADBEEFu}) {
-    const uint32_t whole = Crc32(buffer.data(), buffer.size(), init);
-    for (size_t split = 0; split <= buffer.size(); ++split) {
-      const uint32_t head = Crc32(buffer.data(), split, init);
-      EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head),
-                whole)
-          << "split=" << split << " init=" << init;
-    }
-  }
+  ExpectChainingEqualsOneCall(&Crc32, "Crc32");
+  ExpectChainingEqualsOneCall(&Crc32Portable, "Crc32Portable");
+}
+
+TEST(Crc32Test, ClmulFoldMatchesBitSerialReferenceAndChains) {
+  if (!Crc32HasClmul()) GTEST_SKIP() << "this CPU has no PCLMULQDQ/SSE4.1";
+  ExpectMatchesBitSerialReference(&Crc32Clmul, "Crc32Clmul");
+  ExpectChainingEqualsOneCall(&Crc32Clmul, "Crc32Clmul");
+}
+
+TEST(Crc32Test, SelectsTheFoldFromTheCpu) {
+#if defined(__x86_64__)
+  EXPECT_EQ(Crc32HasClmul(), __builtin_cpu_supports("pclmul") &&
+                                 __builtin_cpu_supports("sse4.1"));
+#else
+  EXPECT_FALSE(Crc32HasClmul());
+#endif
 }
 
 TEST(Crc32Test, FamilyAdapterOutputsArePinned) {
