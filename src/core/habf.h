@@ -181,6 +181,8 @@ class Habf {
                     const HabfOptions& options);
 
   /// Two-round membership test: zero false negatives for the build set.
+  /// Round 2 is ContainsBatch's; under the one-pass family the key is
+  /// hashed once for both rounds.
   bool Contains(std::string_view key) const;
 
   /// Alias matching the MightContain() interface of every other filter in

@@ -156,8 +156,8 @@ bool DetectClmul() { return false; }
 
 #endif
 
-/// Inputs shorter than this never reach the fold: it needs four 16-byte
-/// lanes to start, and below it the set-up costs more than it saves.
+/// Inputs shorter than this never reach the fold, which starts from four
+/// 16-byte lanes.
 constexpr size_t kClmulMinBytes = 64;
 
 // Chosen once, at start-up. A Crc32 call from another static initializer
@@ -186,8 +186,8 @@ uint32_t Crc32Clmul(const void* data, size_t len, uint32_t init) {
 }
 
 uint32_t Crc32(const void* data, size_t len, uint32_t init) {
-  if (len >= kClmulMinBytes && kHasClmul) return Crc32Clmul(data, len, init);
-  return Crc32Portable(data, len, init);
+  return kHasClmul ? Crc32Clmul(data, len, init)
+                   : Crc32Portable(data, len, init);
 }
 
 uint64_t Crc32Hash(const void* data, size_t len, uint64_t seed) {
