@@ -265,6 +265,15 @@ bool DeltaWalWriter::healthy() const {
 
 namespace {
 
+/// Records a tolerated torn tail: `path` keeps its first `keep_bytes`.
+bool TornTail(const std::string& path, uint64_t keep_bytes,
+              WalReplayResult* result) {
+  result->tail_truncated = true;
+  result->torn_path = path;
+  result->torn_keep_bytes = keep_bytes;
+  return true;
+}
+
 /// Replays one file into `result`. `is_last` selects torn-tail tolerance.
 /// Returns false (with result->error set) on corruption.
 bool ReplayWalFile(const std::string& path, uint64_t expected_epoch,
@@ -278,10 +287,7 @@ bool ReplayWalFile(const std::string& path, uint64_t expected_epoch,
   if (bytes.size() < kWalHeaderBytes) {
     // A crash between file creation and the header fsync leaves a short
     // header; in the newest file that is a torn (empty) log, not damage.
-    if (is_last) {
-      result->tail_truncated = true;
-      return true;
-    }
+    if (is_last) return TornTail(path, 0, result);
     result->error = "truncated WAL header in " + path;
     return false;
   }
@@ -299,10 +305,7 @@ bool ReplayWalFile(const std::string& path, uint64_t expected_epoch,
   size_t offset = kWalHeaderBytes;
   while (reader.remaining() > 0) {
     if (reader.remaining() < kWalFrameBytes) {
-      if (is_last) {
-        result->tail_truncated = true;
-        return true;
-      }
+      if (is_last) return TornTail(path, offset, result);
       result->error = "truncated WAL record in " + path + " at offset " +
                       std::to_string(offset);
       return false;
@@ -312,10 +315,7 @@ bool ReplayWalFile(const std::string& path, uint64_t expected_epoch,
     if (payload_len > reader.remaining()) {
       // The frame header was written but the payload was cut: the shape of
       // a torn append. Tolerated only at the very end of the newest file.
-      if (is_last) {
-        result->tail_truncated = true;
-        return true;
-      }
+      if (is_last) return TornTail(path, offset, result);
       result->error = "truncated WAL record in " + path + " at offset " +
                       std::to_string(offset);
       return false;
@@ -374,6 +374,21 @@ WalReplayResult ReplayWalDir(const std::string& dir, uint64_t min_epoch,
     if (result.tail_truncated) break;  // torn tail ends the log
   }
   return result;
+}
+
+bool RepairTornWalTail(const std::string& dir, const WalReplayResult& replay) {
+  if (replay.torn_path.empty()) return true;
+  const char* path = replay.torn_path.c_str();
+  if (replay.torn_keep_bytes < kWalHeaderBytes) {
+    return std::remove(path) == 0 && FsyncDirectory(dir);
+  }
+  const int fd = open(path, O_WRONLY);
+  if (fd < 0) return false;
+  const bool ok =
+      ftruncate(fd, static_cast<off_t>(replay.torn_keep_bytes)) == 0 &&
+      fsync(fd) == 0;
+  close(fd);
+  return ok;
 }
 
 size_t RemoveWalFilesBelow(const std::string& dir, uint64_t keep_epoch) {

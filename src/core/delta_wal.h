@@ -28,7 +28,9 @@
 // remaining bytes). Replay treats exactly that as a clean end of log. A
 // complete frame whose CRC mismatches, or any damage in a non-last file, is
 // real corruption and fails replay naming the file and offset — truncation
-// cannot produce those shapes, only bit rot or a bug can.
+// cannot produce those shapes, only bit rot or a bug can. Because of that
+// rule a torn tail must be cut off (RepairTornWalTail) before any newer
+// epoch file is created.
 
 #pragma once
 
@@ -155,6 +157,11 @@ struct WalReplayResult {
   uint64_t max_epoch = 0;
   /// True if the last file ended in a torn record (tolerated).
   bool tail_truncated = false;
+  /// The file that ended torn ("" if none) and the length of its
+  /// whole-record prefix; a length below kWalHeaderBytes means its header
+  /// itself was torn.
+  std::string torn_path;
+  uint64_t torn_keep_bytes = 0;
   /// Non-empty = replay failed; names the corrupt file/record.
   std::string error;
 
@@ -167,6 +174,12 @@ struct WalReplayResult {
 /// torn-tail vs corruption rules.
 WalReplayResult ReplayWalDir(const std::string& dir, uint64_t min_epoch,
                              uint64_t min_seq);
+
+/// Makes the log end on a whole record again after `replay` found a torn
+/// tail: truncates the torn file to its whole-record prefix and fsyncs it,
+/// or, when even the header was torn, removes the file and fsyncs `dir`.
+/// A no-op without a torn tail. False on I/O error.
+bool RepairTornWalTail(const std::string& dir, const WalReplayResult& replay);
 
 /// Deletes every WAL file in `dir` with epoch < `keep_epoch` (checkpoint
 /// garbage collection; called only after the referencing snapshot is

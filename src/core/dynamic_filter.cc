@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/annotated_sync.h"
+#include "util/timer.h"
 
 #include "hashing/hash_function.h"  // Fmix64
 
@@ -94,9 +95,25 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
   shard_keys_.resize(num_shards_);
   shard_negatives_.resize(num_shards_);
   dirty_.assign(num_shards_, 0);
-  for (std::string& key : positives) {
-    const size_t s = ShardOf(key);
-    shard_keys_[s].insert(std::move(key));
+  // Route once, size each shard's blob and index exactly, then append.
+  std::vector<uint32_t> shard_of(positives.size());
+  std::vector<size_t> shard_count(num_shards_, 0);
+  std::vector<size_t> shard_bytes(num_shards_, 0);
+  for (size_t i = 0; i < positives.size(); ++i) {
+    const size_t s = ShardOf(positives[i]);
+    shard_of[i] = static_cast<uint32_t>(s);
+    ++shard_count[s];
+    shard_bytes[s] += positives[i].size();
+  }
+  std::vector<MemberSet::Builder> members(num_shards_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    members[s].Reserve(shard_count[s], shard_bytes[s]);
+  }
+  for (size_t i = 0; i < positives.size(); ++i) {
+    members[shard_of[i]].Add(positives[i]);
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    shard_keys_[s] = members[s].Finish();
   }
   for (WeightedKey& wk : negatives) {
     const size_t s = ShardOf(wk.key);
@@ -326,9 +343,9 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
   struct ShardRebuild {
     size_t shard = 0;
     std::vector<std::pair<std::string, bool>> entries;  // (key, inserted)
-    std::unordered_set<std::string> new_key_set;
-    std::vector<std::string> keys;           // owning build storage
-    std::vector<WeightedKey> negatives;      // owning build storage
+    MemberSet new_keys;
+    std::vector<std::string_view> keys;        // views into new_keys
+    std::vector<WeightedKeyView> negatives;    // views into shard_negatives_
     HabfOptions opts;
     BuildHandle handle;
   };
@@ -360,7 +377,12 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
       }
     }
   }
-  if (rebuilds.empty()) return report;
+  if (rebuilds.empty()) {
+    // Nothing to rebuild, but a recovered state not yet checkpointed is
+    // collapsed here (the background loop's first tick after Open).
+    if (checkpoint_pending_) report.checkpointed = CheckpointLocked(nullptr);
+    return report;
+  }
 
   // --- Phase 2: rebuild the dirty shards, readers undisturbed. Each shard's
   // new key set is the authoritative set with the captured delta folded in;
@@ -371,19 +393,12 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
   const auto t0 = std::chrono::steady_clock::now();
   ++compaction_epoch_;
   for (ShardRebuild& rb : rebuilds) {
-    rb.new_key_set = ShardKeysUnderCompaction(rb.shard);
-    for (const auto& [key, inserted] : rb.entries) {
-      if (inserted) {
-        rb.new_key_set.insert(key);
-      } else {
-        rb.new_key_set.erase(key);
-      }
-    }
-    rb.keys.reserve(rb.new_key_set.size());
-    for (const std::string& key : rb.new_key_set) rb.keys.push_back(key);
+    rb.new_keys = MemberSet::Rebuild(ShardKeysUnderCompaction(rb.shard),
+                                     rb.entries);
+    rb.keys.assign(rb.new_keys.begin(), rb.new_keys.end());
     for (const WeightedKey& wk : ShardNegativesUnderCompaction(rb.shard)) {
-      if (rb.new_key_set.find(wk.key) == rb.new_key_set.end()) {
-        rb.negatives.push_back(wk);
+      if (!rb.new_keys.Contains(wk.key)) {
+        rb.negatives.emplace_back(wk.key, wk.cost);
       }
     }
     rb.opts = base_options_;
@@ -395,7 +410,8 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
                            (compaction_epoch_ * num_shards_ + rb.shard + 1)));
   }
   // Launch after every ShardRebuild is in place: the async spans view the
-  // keys/negatives vectors above, which no longer move.
+  // keys/negatives vectors above, which no longer move. The key views point
+  // into new_keys' blob, which stays put until the handles are consumed.
   for (ShardRebuild& rb : rebuilds) {
     ShardedBuildOptions single;
     single.num_shards = 1;
@@ -461,7 +477,7 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
           ++drained;
         }
       }
-      shard_keys_[rb.shard] = std::move(rb.new_key_set);
+      shard_keys_[rb.shard] = std::move(rb.new_keys);
     }
     ++stats_.compactions;
     stats_.shards_rebuilt += rebuilds.size();
@@ -585,9 +601,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
     BinaryWriter writer(&keys_payload);
     writer.WriteU32(static_cast<uint32_t>(num_shards_));
     for (size_t s = 0; s < num_shards_; ++s) {
-      const std::unordered_set<std::string>& keys = ShardKeysUnderCompaction(s);
-      writer.WriteU64(keys.size());
-      for (const std::string& key : keys) writer.WriteBytes(key);
+      ShardKeysUnderCompaction(s).AppendPayload(&keys_payload);
     }
   }
   std::string negatives_payload;
@@ -629,6 +643,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   // epochs go — a crash before this line replays them harmlessly (skipped
   // by seq), a crash after needs only the rotated epoch onward.
   RemoveWalFilesBelow(wal_dir, new_epoch);
+  checkpoint_pending_ = false;
   {
     WriterLock lock(delta_mutex_);
     ++stats_.checkpoints;
@@ -748,26 +763,26 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
   const auto keys_payload = section(kDynamicKeysTag, "KEYS");
   if (!keys_payload.has_value()) return false;
   {
-    BinaryReader reader(*keys_payload);
-    const uint32_t num_shards = reader.ReadU32();
-    bool ok = reader.ok() && num_shards == out->num_shards;
-    if (ok) out->shard_keys.resize(num_shards);
-    for (uint32_t s = 0; ok && s < num_shards; ++s) {
-      const uint64_t count = reader.ReadU64();
-      // Every key costs at least its 8-byte length prefix — bound the
-      // reserve before trusting the count.
-      ok = reader.ok() && count <= reader.remaining() / 8;
-      if (!ok) break;
-      out->shard_keys[s].reserve(count);
-      for (uint64_t i = 0; ok && i < count; ++i) {
-        out->shard_keys[s].insert(reader.ReadBytes());
-        ok = reader.ok();
-      }
+    const Stopwatch members_watch;
+    // u32 shard count, then each shard's MemberSet payload back to back:
+    // every slice is bounds-checked, then copied and indexed in one go.
+    std::string_view rest = *keys_payload;
+    const uint32_t num_shards = BinaryReader(rest).ReadU32();
+    bool ok = rest.size() >= 4 && num_shards == out->num_shards;
+    if (ok) {
+      rest.remove_prefix(4);
+      out->shard_keys.reserve(num_shards);
     }
-    if (!ok || reader.remaining() != 0) {
+    for (uint32_t s = 0; ok && s < num_shards; ++s) {
+      std::optional<MemberSet> members = MemberSet::ParsePayload(&rest);
+      ok = members.has_value();
+      if (ok) out->shard_keys.push_back(std::move(*members));
+    }
+    if (!ok || !rest.empty()) {
       if (error != nullptr) *error = "checkpoint section KEYS is malformed";
       return false;
     }
+    out->members_ns = members_watch.ElapsedNanos();
   }
 
   const auto negatives_payload = section(kDynamicNegativesTag, "NEGS");
@@ -820,6 +835,8 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
 std::unique_ptr<DynamicShardedHabf> DynamicShardedHabf::Open(
     const std::string& dir, const DynamicOptions& dynamic,
     std::string* error) {
+  DynamicStats split;
+  Stopwatch watch;
   std::string bytes;
   if (!ReadFileBytes(DynamicSnapshotPath(dir), &bytes)) {
     if (error != nullptr) {
@@ -827,9 +844,15 @@ std::unique_ptr<DynamicShardedHabf> DynamicShardedHabf::Open(
     }
     return nullptr;
   }
+  split.recovery_read_ns = watch.ElapsedNanos();
+
+  watch.Reset();
   RecoveredState state;
   if (!ParseSnapshotBytes(bytes, &state, error)) return nullptr;
+  split.recovery_members_ns = state.members_ns;
+  split.recovery_parse_ns = watch.ElapsedNanos() - state.members_ns;
 
+  watch.Reset();
   WalReplayResult replay =
       ReplayWalDir(dir, state.replay_epoch, state.last_seq);
   if (!replay.ok()) {
@@ -858,20 +881,41 @@ std::unique_ptr<DynamicShardedHabf> DynamicShardedHabf::Open(
       filter->ApplyMutationLocked(record.key, record.inserted,
                                   /*count_stats=*/false);
     }
-    std::unique_ptr<DeltaWalWriter> wal =
-        DeltaWalWriter::Open(dir, next_epoch, next_seq);
-    if (wal == nullptr) {
-      if (error != nullptr) *error = "cannot reopen WAL in " + dir;
-      return nullptr;
+  }
+  split.recovery_replay_ns = watch.ElapsedNanos();
+
+  // Repair before the new epoch exists (DESIGN.md §10): once epoch
+  // next_epoch is on disk the torn file is no longer the last one, and the
+  // next recovery would reject its tail as corruption.
+  watch.Reset();
+  if (!RepairTornWalTail(dir, replay)) {
+    if (error != nullptr) {
+      *error = "cannot repair torn WAL tail " + replay.torn_path;
     }
+    return nullptr;
+  }
+  std::unique_ptr<DeltaWalWriter> wal =
+      DeltaWalWriter::Open(dir, next_epoch, next_seq);
+  if (wal == nullptr) {
+    if (error != nullptr) *error = "cannot reopen WAL in " + dir;
+    return nullptr;
+  }
+  split.recovery_repair_ns = watch.ElapsedNanos();
+  {
+    WriterLock lock(filter->delta_mutex_);
     filter->wal_dir_ = dir;
     filter->wal_ = std::move(wal);
+    filter->stats_.recovery_read_ns = split.recovery_read_ns;
+    filter->stats_.recovery_parse_ns = split.recovery_parse_ns;
+    filter->stats_.recovery_members_ns = split.recovery_members_ns;
+    filter->stats_.recovery_replay_ns = split.recovery_replay_ns;
+    filter->stats_.recovery_repair_ns = split.recovery_repair_ns;
   }
-  // Collapse the recovered state into a fresh checkpoint: the replayed
-  // epochs are garbage-collected and a second crash recovers from here.
+  // No collapse checkpoint here: the replayed epochs stay on disk until the
+  // next compaction pass (or Checkpoint) folds them into a snapshot.
   {
     MutexLock compaction_lock(filter->compaction_mutex_);
-    if (!filter->CheckpointLocked(error)) return nullptr;
+    filter->checkpoint_pending_ = true;
   }
   return filter;
 }

@@ -43,13 +43,13 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bloom/counting_bloom.h"
 #include "core/delta_wal.h"
 #include "core/filter_store.h"
+#include "core/member_set.h"
 #include "core/sharded_filter.h"
 #include "util/annotated_sync.h"
 #include "util/serde.h"
@@ -119,6 +119,14 @@ struct DynamicStats {
   uint64_t keys_drained = 0;      // total delta entries folded into bases
   uint64_t front_rotations = 0;   // counting-bloom front resizes (grow+shrink)
   uint64_t checkpoints = 0;       // durable snapshots written
+  // Phase split of the Open() that recovered this filter (all 0 for a
+  // filter that was built, not recovered). They sum to at most Open's wall
+  // time; the recovery constructor is counted under replay.
+  uint64_t recovery_read_ns = 0;     // reading the checkpoint file
+  uint64_t recovery_parse_ns = 0;    // CRCs, DCFG, RDIR, BASE, NEGS, DELT
+  uint64_t recovery_members_ns = 0;  // KEYS into the per-shard member sets
+  uint64_t recovery_replay_ns = 0;   // WAL replay + applying the delta
+  uint64_t recovery_repair_ns = 0;   // torn-tail repair + the new epoch
 };
 
 /// A sharded HABF that accepts Insert/Remove after construction and models
@@ -249,18 +257,22 @@ class DynamicShardedHabf {
   /// Writes a checkpoint: rotates the WAL to a fresh epoch, crash-atomically
   /// replaces the snapshot file, then deletes the log epochs the new
   /// snapshot supersedes. Runs automatically after every compaction pass
-  /// that rebuilt a shard. False if durability is off or on I/O failure.
+  /// that rebuilt a shard, and on the first pass after Open(). False if
+  /// durability is off or on I/O failure.
   bool Checkpoint(std::string* error = nullptr)
       HABF_EXCLUDES(compaction_mutex_, delta_mutex_);
 
   /// Recovers a durable filter from `dir`: parses the checkpoint snapshot,
   /// replays the WAL tail on top (in sequence order, last-wins, skipping
   /// records the snapshot already folded in — a torn final record is
-  /// tolerated, anything else corrupt fails by name), re-enables durability
-  /// at a fresh epoch and writes a collapsing checkpoint. Every mutation
-  /// acknowledged before the crash is present afterwards — zero false
-  /// negatives (tests/crash_recovery_test.cc). Returns nullptr with *error
-  /// naming the corrupt section/record on failure.
+  /// tolerated, anything else corrupt fails by name), cuts a torn tail off
+  /// its file and re-enables durability at a fresh epoch. It writes no
+  /// checkpoint: the next CompactDirtyShards pass (or an explicit
+  /// Checkpoint) collapses the replayed epochs, and until then a second
+  /// crash replays them again. Every mutation acknowledged before the crash
+  /// is present afterwards — zero false negatives
+  /// (tests/crash_recovery_test.cc). Returns nullptr with *error naming the
+  /// corrupt section/record on failure. The split of its time is in stats().
   static std::unique_ptr<DynamicShardedHabf> Open(
       const std::string& dir, const DynamicOptions& dynamic = {},
       std::string* error = nullptr);
@@ -325,7 +337,8 @@ class DynamicShardedHabf {
     uint64_t replay_epoch = 1;  // WAL replay starts at this epoch...
     uint64_t last_seq = 0;      // ...skipping records with seq <= this
     std::optional<ShardedFilter<Habf>> base;
-    std::vector<std::unordered_set<std::string>> shard_keys;
+    std::vector<MemberSet> shard_keys;
+    uint64_t members_ns = 0;  // time spent parsing KEYS
     std::vector<std::vector<WeightedKey>> shard_negatives;
     std::vector<std::pair<std::string, bool>> delta;  // (key, inserted)
   };
@@ -371,7 +384,7 @@ class DynamicShardedHabf {
   /// base and the authoritative key sets (only the compactor replaces
   /// them); the WAL rotation and the delta capture share one writer
   /// critical section, so every record the new snapshot does not fold in
-  /// lives in epochs >= the rotated one.
+  /// lives in epochs >= the rotated one. Success clears checkpoint_pending_.
   bool CheckpointLocked(std::string* error) HABF_REQUIRES(compaction_mutex_)
       HABF_EXCLUDES(delta_mutex_);
 
@@ -382,7 +395,7 @@ class DynamicShardedHabf {
   /// therefore enough to read. The analysis can express only one guard per
   /// field (delta_mutex_, the one readers use), so these REQUIRES-checked
   /// accessors carry the compactor side of the protocol.
-  const std::unordered_set<std::string>& ShardKeysUnderCompaction(
+  const MemberSet& ShardKeysUnderCompaction(
       size_t shard) const HABF_REQUIRES(compaction_mutex_)
       HABF_NO_THREAD_SAFETY_ANALYSIS {
     return shard_keys_[shard];
@@ -410,8 +423,7 @@ class DynamicShardedHabf {
   // lock for every replacement; readable under either (introspection reads
   // take delta_mutex_ — the declared guard — and the compactor's phase-2
   // reads go through the ShardKeysUnderCompaction accessors above).
-  std::vector<std::unordered_set<std::string>> shard_keys_
-      HABF_GUARDED_BY(delta_mutex_);
+  std::vector<MemberSet> shard_keys_ HABF_GUARDED_BY(delta_mutex_);
   std::vector<std::vector<WeightedKey>> shard_negatives_
       HABF_GUARDED_BY(delta_mutex_);
 
@@ -449,6 +461,9 @@ class DynamicShardedHabf {
   // Compaction serialization + the shared rebuild pool.
   Mutex compaction_mutex_;
   uint64_t compaction_epoch_ HABF_GUARDED_BY(compaction_mutex_) = 0;
+  // Set by Open(): the recovered state is not yet in a checkpoint, so the
+  // next CompactDirtyShards pass checkpoints even if it rebuilt nothing.
+  bool checkpoint_pending_ HABF_GUARDED_BY(compaction_mutex_) = false;
   ThreadPool compaction_pool_;
 
   // Background compactor. lifecycle_mutex_ serializes whole Start/Stop

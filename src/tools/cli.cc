@@ -54,6 +54,10 @@ constexpr char kUsage[] =
     "           (--port 0 picks a free port; --duration-ms 0 serves until\n"
     "            SIGTERM/SIGINT, then drains gracefully)\n";
 
+/// How often `serve --wal-dir` runs a background compaction pass when no
+/// shard crosses the dirty threshold first (a crossing kicks a pass at once).
+constexpr std::chrono::milliseconds kServeCompactionInterval{1000};
+
 /// Parsed flags: --name value pairs, repeated flags collected, bare --fast
 /// style booleans mapped to "1".
 struct Flags {
@@ -842,6 +846,9 @@ int CmdServe(const Flags& flags, std::string* out, std::string* err) {
               open_error + "\n";
       return 2;
     }
+    // Compaction keeps the delta and the WAL bounded; its first pass also
+    // writes the checkpoint Open defers.
+    dynamic_filter->StartBackgroundCompaction(kServeCompactionInterval);
     backend = std::make_unique<net::DynamicBackend>(dynamic_filter.get());
     mode = "dynamic";
   }
@@ -855,7 +862,7 @@ int CmdServe(const Flags& flags, std::string* out, std::string* err) {
     *err += "serve: " + start_error + "\n";
     return 2;
   }
-  char line[200];
+  char line[320];
   std::snprintf(line, sizeof(line),
                 "serving %s filter on 127.0.0.1:%u (workers=%zu)\n", mode,
                 server.port(), workers);
@@ -879,17 +886,24 @@ int CmdServe(const Flags& flags, std::string* out, std::string* err) {
             ", draining\n";
   }
   server.Shutdown();
+  DynamicStats dynamic_stats;
+  if (dynamic_filter != nullptr) {
+    dynamic_filter->StopBackgroundCompaction();
+    dynamic_stats = dynamic_filter->stats();
+  }
   const net::ServerStats stats = server.stats();
   std::snprintf(line, sizeof(line),
                 "serve: drained connections=%llu frames=%llu "
                 "requests=%llu keys_queried=%llu keys_mutated=%llu "
-                "protocol_errors=%llu\n",
+                "protocol_errors=%llu compactions=%llu checkpoints=%llu\n",
                 static_cast<unsigned long long>(stats.connections_accepted),
                 static_cast<unsigned long long>(stats.frames_decoded),
                 static_cast<unsigned long long>(stats.requests_answered),
                 static_cast<unsigned long long>(stats.keys_queried),
                 static_cast<unsigned long long>(stats.keys_mutated),
-                static_cast<unsigned long long>(stats.protocol_errors));
+                static_cast<unsigned long long>(stats.protocol_errors),
+                static_cast<unsigned long long>(dynamic_stats.compactions),
+                static_cast<unsigned long long>(dynamic_stats.checkpoints));
   *out += line;
   std::snprintf(
       line, sizeof(line),

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/delta_wal.h"
+#include "core/dynamic_filter.h"
 #include "net/client.h"
 #include "util/serde.h"
 
@@ -761,6 +763,86 @@ TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
             std::string::npos)
       << serve_out;
   EXPECT_NE(serve_out.find("keys_mutated=1"), std::string::npos) << serve_out;
+}
+
+TEST_F(CliTest, ServeWalDirCompactsAndTrimsTheLog) {
+  // Durable inserts past the default dirty threshold (5% of a shard) must
+  // trigger serve's background compaction, whose checkpoint trims the log.
+  const std::string wal_dir = dir_ + "/serve_compact";
+  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--shards", "2",
+                 "--wal-dir", wal_dir}),
+            0)
+      << err_;
+  // `build --wal-dir` leaves the initial checkpoint and live epoch 2.
+  ASSERT_TRUE(std::filesystem::exists(WalFilePath(wal_dir, 2)));
+
+  const std::string port_path = dir_ + "/serve_compact_port.txt";
+  std::string serve_out, serve_err;
+  int serve_rc = -1;
+  std::thread server_thread([&] {
+    serve_rc = RunCli({"serve", "--wal-dir", wal_dir, "--port-file",
+                       port_path, "--duration-ms", "2500"},
+                      &serve_out, &serve_err);
+  });
+  uint16_t port = 0;
+  for (int i = 0; i < 1000 && port == 0; ++i) {
+    std::string bytes;
+    if (ReadFileBytes(port_path, &bytes) && !bytes.empty()) {
+      port = static_cast<uint16_t>(std::stoul(bytes));
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  constexpr size_t kInserts = 400;  // ~13% of each 1500-key shard
+  std::vector<std::string> fresh;
+  for (size_t i = 0; i < kInserts; ++i) {
+    fresh.push_back("compact-me-" + std::to_string(i));
+  }
+  std::string client_failure;
+  if (port == 0) {
+    client_failure = "port file never appeared: " + serve_err;
+  } else {
+    net::BlockingClient client;
+    std::string net_error;
+    if (!client.Connect("127.0.0.1", port, &net_error)) {
+      client_failure = "connect: " + net_error;
+    }
+    for (size_t begin = 0; client_failure.empty() && begin < kInserts;
+         begin += 50) {
+      const std::vector<std::string_view> frame(fresh.begin() + begin,
+                                                fresh.begin() + begin + 50);
+      if (!client.Mutate(/*insert=*/true, KeySpan(frame.data(), frame.size()),
+                         &net_error)) {
+        client_failure = "insert: " + net_error;
+      }
+    }
+  }
+  server_thread.join();
+  ASSERT_EQ(client_failure, "") << serve_err;
+  ASSERT_EQ(serve_rc, 0) << serve_err;
+
+  const auto counter = [&serve_out](const std::string& name) -> long {
+    const size_t at = serve_out.find(" " + name + "=");
+    if (at == std::string::npos) return -1;
+    return std::stol(serve_out.substr(at + name.size() + 2));
+  };
+  EXPECT_NE(serve_out.find("keys_mutated=400"), std::string::npos)
+      << serve_out;
+  EXPECT_GE(counter("compactions"), 1) << serve_out;
+  EXPECT_GE(counter("checkpoints"), 1) << serve_out;
+  // The checkpoint superseded the epochs that held the inserts.
+  EXPECT_FALSE(std::filesystem::exists(WalFilePath(wal_dir, 2)));
+  const WalReplayResult log = ReplayWalDir(wal_dir, 1, 0);
+  ASSERT_TRUE(log.ok()) << log.error;
+  EXPECT_LT(log.records.size(), kInserts);
+
+  std::string error;
+  auto reopened = DynamicShardedHabf::Open(wal_dir, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  for (const std::string& key : fresh) {
+    EXPECT_TRUE(reopened->MightContain(key)) << key;
+  }
 }
 
 TEST_F(CliTest, ServeFlagsRejectMisuse) {

@@ -3,9 +3,10 @@
 // crash point — WAL truncated at every record boundary and mid-record
 // (recovery succeeds on the durable prefix with zero false negatives), and
 // bit-flipped snapshot sections or complete-but-damaged WAL records must
-// fail recovery naming the corrupt section/record. A WAL write that fails
-// (a file-size limit in a forked child) must not be acknowledged, and the
-// filter must refuse every mutation after it.
+// fail recovery naming the corrupt section/record. Open writes no
+// checkpoint, so a second crash before the deferred one must recover too.
+// A WAL write that fails (a file-size limit in a forked child) must not be
+// acknowledged, and the filter must refuse every mutation after it.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -191,6 +193,135 @@ TEST_F(CrashRecoveryTest, WalTruncationSweepRecoversEveryDurablePrefix) {
       EXPECT_EQ(replay.records.size(), kMutations + (kMutations + 6) / 7);
     }
   }
+}
+
+// --- the window between Open and the deferred checkpoint -------------------
+
+TEST_F(CrashRecoveryTest, TruncationSweepSurvivesASecondCrashBeforeCheckpoint) {
+  constexpr size_t kMutations = 40;
+  { auto filter = MakeDurable(kMutations); }
+  const std::string wal_path = WalFilePath(dir_, 2);
+  std::string full;
+  ASSERT_TRUE(ReadFileBytes(wal_path, &full));
+  std::string snapshot;
+  ASSERT_TRUE(ReadFileBytes(DynamicSnapshotPath(dir_), &snapshot));
+
+  // The cuts of WalTruncationSweepRecoversEveryDurablePrefix plus every cut
+  // inside the header. Open repairs the torn tail and starts a new epoch
+  // without a checkpoint; a second crash must then find a log whose only
+  // possibly torn file is the newest one.
+  std::vector<size_t> cuts;
+  for (size_t cut = 0; cut < kWalHeaderBytes; ++cut) cuts.push_back(cut);
+  for (size_t cut = 0; cut < full.size(); cut += 13) cuts.push_back(cut);
+  cuts.push_back(full.size());
+  for (size_t cut : cuts) {
+    RemoveWalFilesBelow(dir_, ~uint64_t{0});
+    ASSERT_TRUE(
+        WriteFileBytes(wal_path, std::string_view(full).substr(0, cut)));
+    ASSERT_TRUE(WriteFileBytesAtomic(DynamicSnapshotPath(dir_), snapshot));
+    const WalReplayResult replay = ReplayWalDir(dir_, 2, 0);
+    ASSERT_TRUE(replay.ok()) << "cut at " << cut << ": " << replay.error;
+
+    const std::string fresh = "post-" + std::to_string(cut);
+    std::string error;
+    {
+      auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+      ASSERT_NE(reopened, nullptr) << "cut at " << cut << ": " << error;
+      ASSERT_TRUE(reopened->Insert(fresh + "-kept"));
+      ASSERT_TRUE(reopened->Insert(fresh + "-dropped"));
+      ASSERT_TRUE(reopened->Remove(fresh + "-dropped"));
+      ASSERT_TRUE(reopened->Remove("base-1"));
+      // Dropped without a checkpoint: the second crash.
+    }
+    auto again = DynamicShardedHabf::Open(dir_, {}, &error);
+    ASSERT_NE(again, nullptr) << "second open after cut at " << cut << ": "
+                              << error;
+    for (const WalRecord& record : replay.records) {
+      EXPECT_EQ(again->MightContain(record.key), record.inserted)
+          << "cut at " << cut << ": " << record.key;
+    }
+    EXPECT_TRUE(again->MightContain(fresh + "-kept")) << "cut at " << cut;
+    EXPECT_FALSE(again->MightContain(fresh + "-dropped")) << "cut at " << cut;
+    EXPECT_FALSE(again->MightContain("base-1")) << "cut at " << cut;
+    EXPECT_TRUE(again->MightContain("base-2")) << "cut at " << cut;
+  }
+}
+
+TEST_F(CrashRecoveryTest, OpenLeavesTheSnapshotByteIdentical) {
+  { auto filter = MakeDurable(60); }
+  std::string before;
+  ASSERT_TRUE(ReadFileBytes(DynamicSnapshotPath(dir_), &before));
+  std::string error;
+  auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  ASSERT_TRUE(reopened->Insert("after-open"));
+  std::string after;
+  ASSERT_TRUE(ReadFileBytes(DynamicSnapshotPath(dir_), &after));
+  EXPECT_TRUE(after == before) << "Open rewrote the checkpoint";
+  EXPECT_EQ(reopened->stats().checkpoints, 0u);
+}
+
+TEST_F(CrashRecoveryTest, FirstCompactionAfterOpenCheckpointsTheReplayedEpochs) {
+  { auto filter = MakeDurable(30); }
+  ASSERT_TRUE(::access(WalFilePath(dir_, 2).c_str(), F_OK) == 0);
+  DynamicOptions lazy;
+  lazy.dirty_fraction_threshold = 1000.0;  // no shard is ever dirty enough
+  std::string error;
+  auto reopened = DynamicShardedHabf::Open(dir_, lazy, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->wal_epoch(), 3u);
+  // The replayed epoch is still on disk until the deferred checkpoint.
+  EXPECT_TRUE(::access(WalFilePath(dir_, 2).c_str(), F_OK) == 0);
+
+  const CompactionReport report = reopened->CompactDirtyShards();
+  EXPECT_EQ(report.shards_rebuilt, 0u);
+  EXPECT_TRUE(report.checkpointed);
+  EXPECT_EQ(reopened->stats().checkpoints, 1u);
+  EXPECT_EQ(reopened->wal_epoch(), 4u);
+  EXPECT_FALSE(::access(WalFilePath(dir_, 2).c_str(), F_OK) == 0);
+  EXPECT_FALSE(::access(WalFilePath(dir_, 3).c_str(), F_OK) == 0);
+  const WalReplayResult everything = ReplayWalDir(dir_, 1, 0);
+  ASSERT_TRUE(everything.ok()) << everything.error;
+  EXPECT_TRUE(everything.records.empty());
+  // Only the first pass owes a checkpoint.
+  EXPECT_FALSE(reopened->CompactDirtyShards().checkpointed);
+  reopened.reset();
+  auto third = DynamicShardedHabf::Open(dir_, lazy, &error);
+  ASSERT_NE(third, nullptr) << error;
+  ExpectRecovered(*third, 30);
+
+  // An explicit Checkpoint settles the debt as well.
+  ASSERT_TRUE(third->Checkpoint(&error)) << error;
+  EXPECT_FALSE(third->CompactDirtyShards().checkpointed);
+}
+
+TEST_F(CrashRecoveryTest, OpenRecordsItsPhaseSplit) {
+  {
+    auto filter = MakeDurable(200);
+    const DynamicStats built = filter->stats();
+    EXPECT_EQ(built.recovery_read_ns + built.recovery_parse_ns +
+                  built.recovery_members_ns + built.recovery_replay_ns +
+                  built.recovery_repair_ns,
+              0u);
+  }
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+  const uint64_t wall_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  ASSERT_NE(reopened, nullptr) << error;
+  const DynamicStats stats = reopened->stats();
+  EXPECT_GT(stats.recovery_read_ns, 0u);
+  EXPECT_GT(stats.recovery_parse_ns, 0u);
+  EXPECT_GT(stats.recovery_members_ns, 0u);
+  EXPECT_GT(stats.recovery_replay_ns, 0u);
+  EXPECT_GT(stats.recovery_repair_ns, 0u);
+  EXPECT_LE(stats.recovery_read_ns + stats.recovery_parse_ns +
+                stats.recovery_members_ns + stats.recovery_replay_ns +
+                stats.recovery_repair_ns,
+            wall_ns);
 }
 
 TEST_F(CrashRecoveryTest, SnapshotSectionBitFlipFailsNamingTheSection) {

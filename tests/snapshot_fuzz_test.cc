@@ -4,17 +4,24 @@
 // returns a filter whose queries run safely. Also drives crafted hostile
 // headers (NaN/Inf delta, absurd total_bits) at the field offsets of the
 // version-1 format. Nothing writes the legacy formats any more, so their
-// readers are fuzzed over the committed golden fixtures in tests/data/.
+// readers are fuzzed over the committed golden fixtures in tests/data/. The
+// dynamic tier's DYNF checkpoint is fuzzed through DynamicShardedHabf::Open,
+// and hostile KEYS payloads (re-wrapped with valid CRCs) must be refused.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/dynamic_filter.h"
 #include "core/habf.h"
 #include "core/sharded_filter.h"
 #include "util/rng.h"
@@ -396,6 +403,120 @@ TEST(SnapshotFuzzTest, Hbf1WrongContentTagRejected) {
   const std::string sharded = ShardedSnapshot();
   EXPECT_FALSE(Habf::Deserialize(sharded).has_value());
   EXPECT_FALSE(ShardedFilter<Habf>::Deserialize(HabfSnapshot()).has_value());
+}
+
+// --- DYNF: the dynamic tier's checkpoint ------------------------------------
+
+/// A recovered dynamic filter behind the Deserialize-shaped interface the
+/// fuzz helpers above drive.
+struct RecoveredDynf {
+  std::unique_ptr<DynamicShardedHabf> filter;
+  bool MightContain(std::string_view key) const {
+    return filter->MightContain(key);
+  }
+};
+
+/// Recovers `bytes` as the only file of a durability directory. Failure is
+/// nullopt with *error naming why.
+std::optional<RecoveredDynf> OpenDynf(std::string_view bytes,
+                                      std::string* error = nullptr) {
+  // One directory per test: ctest -j runs the cases as parallel processes.
+  const std::string dir =
+      ::testing::TempDir() + "snapshot_fuzz_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_TRUE(WriteFileBytes(DynamicSnapshotPath(dir), bytes));
+  std::string open_error;
+  RecoveredDynf recovered{DynamicShardedHabf::Open(dir, {}, &open_error)};
+  if (error != nullptr) *error = open_error;
+  if (recovered.filter == nullptr) return std::nullopt;
+  return recovered;
+}
+
+std::string DynfCheckpoint() {
+  return LegacyFixture("dynf_two_choice_v1.snapshot");
+}
+
+/// The checkpoint with its KEYS payload replaced (every CRC valid).
+std::string WithKeysPayload(const std::string& checkpoint,
+                            std::string_view keys) {
+  const std::optional<SectionReader> table = SectionReader::Parse(checkpoint);
+  EXPECT_TRUE(table.has_value());
+  std::string out;
+  SectionWriter writer(&out, table->content_tag());
+  for (const SectionReader::Section& section : table->sections()) {
+    writer.AddSection(section.tag, section.tag == kDynamicKeysTag
+                                       ? keys
+                                       : *table->Find(section.tag));
+  }
+  writer.Finish();
+  return out;
+}
+
+TEST(SnapshotFuzzTest, DynfTruncationsAndBitFlipsNeverCrash) {
+  const std::string checkpoint = DynfCheckpoint();
+  ASSERT_TRUE(OpenDynf(checkpoint).has_value());
+  const auto open = [](std::string_view bytes) { return OpenDynf(bytes); };
+  FuzzTruncations(checkpoint, open);
+  FuzzBitFlips(checkpoint, open);
+}
+
+TEST(SnapshotFuzzTest, DynfHostileKeysPayloadsRejected) {
+  const std::string checkpoint = DynfCheckpoint();
+  const std::optional<SectionReader> table = SectionReader::Parse(checkpoint);
+  ASSERT_TRUE(table.has_value());
+  const std::string keys(*table->Find(kDynamicKeysTag));
+  // Re-wrapping the intact payload still recovers.
+  ASSERT_TRUE(OpenDynf(WithKeysPayload(checkpoint, keys)).has_value());
+
+  const auto shards = [](uint32_t count, const std::string& body) {
+    std::string out;
+    BinaryWriter(&out).WriteU32(count);
+    return out + body;
+  };
+  const auto set = [](uint64_t count, const std::string& body) {
+    std::string out;
+    BinaryWriter(&out).WriteU64(count);
+    return out + body;
+  };
+  const std::string empty_set = set(0, "");
+  std::string dup_body;
+  BinaryWriter(&dup_body).WriteBytes("dynf-member-1");
+  BinaryWriter(&dup_body).WriteBytes("dynf-member-1");
+  std::string past_end;
+  BinaryWriter(&past_end).WriteU64(1000);
+  past_end += "abc";
+  std::string lying_first = keys;  // shard 0's count off by one
+  uint64_t first_count;
+  std::memcpy(&first_count, lying_first.data() + 4, 8);
+  ++first_count;
+  std::memcpy(lying_first.data() + 4, &first_count, 8);
+
+  const std::vector<std::pair<const char*, std::string>> hostile = {
+      {"empty", ""},
+      {"short shard count", std::string(3, '\0')},
+      {"shard count mismatch",
+       shards(3, empty_set + empty_set + empty_set)},
+      {"count larger than the payload",
+       shards(4, set(uint64_t{1} << 62, ""))},
+      {"count that lies", lying_first},
+      {"length past the end",
+       shards(4, set(1, past_end) + empty_set + empty_set + empty_set)},
+      {"missing shard", shards(4, empty_set + empty_set + empty_set)},
+      {"trailing bytes", keys + "x"},
+      {"duplicate key",
+       shards(4, set(2, dup_body) + empty_set + empty_set + empty_set)},
+  };
+  for (const auto& [name, payload] : hostile) {
+    std::string error;
+    EXPECT_FALSE(OpenDynf(WithKeysPayload(checkpoint, payload), &error)
+                     .has_value())
+        << name;
+    EXPECT_NE(error.find("checkpoint section KEYS is malformed"),
+              std::string::npos)
+        << name << ": " << error;
+  }
 }
 
 }  // namespace
