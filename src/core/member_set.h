@@ -13,9 +13,8 @@
 //     re-reading any key. It is rebuilt at load; nothing about it is
 //     persisted.
 //
-// One key costs 8 + len blob bytes plus ~11 index bytes, against a node,
-// a bucket pointer and (past 15 bytes) a heap string per key in an
-// unordered_set<string>; building or freeing a set is two allocations.
+// One key costs 8 + len blob bytes plus ~11 index bytes, and building or
+// freeing a set is two allocations, not one or two per key.
 
 #pragma once
 
