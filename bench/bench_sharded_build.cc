@@ -1,7 +1,6 @@
 // Sharded HABF bench: parallel-vs-serial TPJO construction, the zero-copy
-// partitioning memory win, and sharded batch-query throughput — serial
-// grouping and the pooled per-shard fan-out (results recorded into
-// BENCH_query.json).
+// partitioning memory win, and sharded grouped batch-query throughput
+// (results recorded into BENCH_query.json).
 //
 // Construction is HABF's dominant cost (paper §IV); the sharded build runs
 // S independent TPJO builds on a util/thread_pool.h pool, so on a T-core
@@ -855,9 +854,8 @@ int main(int argc, char** argv) {
   record("BM_HabfBatchSharded",
          BestOf(args.repeats, [&] { batch_sweep(sharded); }), mixed_d);
 
-  // Pooled per-shard fan-out vs the serial grouped path, at a batch size
-  // large enough (8192) for the per-shard groups to amortize the task
-  // hand-off. The fan-out only helps with real cores; recorded either way.
+  // The grouped path at a batch size (8192) where each shard's group is
+  // about a thousand keys.
   constexpr size_t kLargeBatch = 8192;
   auto large_batch_sweep = [&](const auto& filter) {
     std::vector<uint8_t> out(kLargeBatch);
@@ -871,14 +869,6 @@ int main(int argc, char** argv) {
   };
   record("BM_HabfBatchShardedLarge",
          BestOf(args.repeats, [&] { large_batch_sweep(sharded); }), mixed_d);
-  {
-    ThreadPool query_pool(effective_threads <= 1 ? 0 : effective_threads);
-    auto pooled = BuildShardedHabf(data.positives, data.negatives, options,
-                                   parallel_sharding);
-    pooled.SetQueryPool(&query_pool, /*min_parallel_keys=*/kLargeBatch);
-    record("BM_HabfBatchShardedLargePooled",
-           BestOf(args.repeats, [&] { large_batch_sweep(pooled); }), mixed_d);
-  }
 
   // Scalar routing path for reference.
   record("BM_HabfScalarSharded", BestOf(args.repeats, [&] {

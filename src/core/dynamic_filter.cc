@@ -16,21 +16,12 @@
 namespace habf {
 namespace {
 
-/// Seed tweak separating the counting-bloom front's hash stream from the
-/// base filters' probe hashing and the shard-routing salt.
-constexpr uint64_t kDeltaSeedTag = 0x44454C5441ULL;  // "DELTA"
-
 const DynamicOptions& ValidateDynamicOptions(const DynamicOptions& dynamic) {
   if (!(std::isfinite(dynamic.dirty_fraction_threshold) &&
         dynamic.dirty_fraction_threshold >= 0.0)) {
     throw std::invalid_argument(
         "DynamicOptions::dirty_fraction_threshold must be a finite value "
         ">= 0");
-  }
-  if (dynamic.delta_counters == 0 || dynamic.delta_hashes == 0) {
-    throw std::invalid_argument(
-        "DynamicOptions delta sizing must be non-zero (delta_counters and "
-        "delta_hashes)");
   }
   return dynamic;
 }
@@ -41,16 +32,6 @@ size_t ComputeCompactionThreads(const DynamicOptions& dynamic,
   size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return std::max<size_t>(1, std::min(hw, std::max<size_t>(1, num_shards)));
-}
-
-/// Heterogeneous-lookup stand-in for the C++17 unordered_map (which can
-/// only look up by key_type): one thread-local buffer, reused, so the
-/// bloom-positive probe of a query does not heap-allocate a temporary
-/// std::string per key. Surfaced by the clang-tidy/perf sweep of PR 7.
-const std::string& LookupKey(std::string_view key) {
-  static thread_local std::string buffer;
-  buffer.assign(key.data(), key.size());
-  return buffer;
 }
 
 /// Byte-level clone of a finished shard (Habf owns a unique_ptr provider, so
@@ -77,9 +58,6 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
                                        const DynamicOptions& dynamic)
     : base_options_(options),
       dynamic_options_(ValidateDynamicOptions(dynamic)),
-      delta_filter_(dynamic_options_.delta_counters,
-                    dynamic_options_.delta_hashes,
-                    Fmix64(options.seed ^ kDeltaSeedTag)),
       compaction_pool_(
           ComputeCompactionThreads(dynamic_options_, sharding.num_shards)) {
   ShardedFilter<Habf> filter =
@@ -120,10 +98,6 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
     shard_negatives_[s].push_back(std::move(wk));
   }
 
-  if (dynamic_options_.query_pool != nullptr) {
-    filter.SetQueryPool(dynamic_options_.query_pool,
-                        dynamic_options_.query_pool_threshold);
-  }
   base_.Publish(std::move(filter));
 }
 
@@ -135,28 +109,11 @@ size_t DynamicShardedHabf::ShardOf(std::string_view key) const {
       key, salt_, directory_.num_buckets())];
 }
 
-size_t DynamicShardedHabf::ShardOfLocked(std::string_view key) const {
-  // Routing state is immutable after construction; no lock actually needed.
-  return ShardOf(key);
-}
-
 size_t DynamicShardedHabf::ApplyMutationLocked(std::string_view key,
                                                bool inserted,
                                                bool count_stats) {
-  const size_t shard = ShardOfLocked(key);
-  // try_emplace: one hash walk and one string construction, instead of
-  // the find(std::string(key)) + emplace(std::string(key), ...) double
-  // lookup this used to do (PR-7 perf sweep; semantics pinned by
-  // DynamicFilterTest.RemutatedKeyKeepsOneDeltaEntry).
-  auto [it, added] = delta_.try_emplace(
-      std::string(key), DeltaEntry{static_cast<uint32_t>(shard), inserted});
-  if (!added) {
-    it->second.inserted = inserted;
-  } else {
-    delta_filter_.Add(key);
-    ++dirty_[shard];
-    MaybeRotateFrontLocked();
-  }
+  const size_t shard = ShardOf(key);
+  if (delta_.Upsert(key, inserted)) ++dirty_[shard];
   if (count_stats) {
     if (inserted) {
       ++stats_.inserts;
@@ -165,34 +122,6 @@ size_t DynamicShardedHabf::ApplyMutationLocked(std::string_view key,
     }
   }
   return shard;
-}
-
-void DynamicShardedHabf::MaybeRotateFrontLocked() {
-  const size_t counters = delta_filter_.num_counters();
-  const size_t occupied = delta_.size();
-  const size_t floor_counters = dynamic_options_.delta_counters;
-  size_t target = counters;
-  if (occupied * 8 > counters) {
-    // Grow: doubling to >= 16 counters per resident key keeps the front's
-    // false-positive rate (and hence the exact-map lookup rate for
-    // untouched keys) low through a sustained mutation burst.
-    target = std::max(counters, floor_counters);
-    while (target < occupied * 16) target *= 2;
-  } else if (counters > floor_counters && occupied * 64 < counters) {
-    // Shrink after a drain: fall back toward the configured floor so a
-    // one-off burst does not pin the front's memory forever.
-    target = floor_counters;
-    while (target < occupied * 16) target *= 2;
-  }
-  if (target == counters) return;
-  ++front_generation_;
-  CountingBloomFilter next(
-      target, dynamic_options_.delta_hashes,
-      Fmix64(base_options_.seed ^ kDeltaSeedTag ^
-             (0x9E3779B97F4A7C15ULL * front_generation_)));
-  for (const auto& [key, entry] : delta_) next.Add(key);
-  delta_filter_ = std::move(next);
-  ++stats_.front_rotations;
 }
 
 bool DynamicShardedHabf::Insert(std::string_view key) {
@@ -227,14 +156,9 @@ bool DynamicShardedHabf::ApplyLogged(std::string_view key, bool inserted) {
 bool DynamicShardedHabf::MightContain(std::string_view key) const {
   {
     ReaderLock lock(delta_mutex_);
-    // The counting-bloom front admits no false negatives over the delta's
-    // resident keys, so a miss here proves the key is unmutated and the
-    // base answer below is authoritative. (A front false positive merely
-    // costs the exact-map lookup.)
-    if (delta_filter_.MightContain(key)) {
-      auto it = delta_.find(LookupKey(key));
-      if (it != delta_.end()) return it->second.inserted;
-    }
+    // The table is exact, so a miss proves the key is unmutated and the
+    // base answer below is authoritative.
+    if (const std::optional<bool> state = delta_.Find(key)) return *state;
   }
   // Pinned *after* releasing the delta lock. If a compaction drained this
   // key between our delta miss and this Acquire, the drain happened under
@@ -267,13 +191,10 @@ size_t DynamicShardedHabf::ContainsBatch(KeySpan keys, uint8_t* out) const {
   {
     ReaderLock lock(delta_mutex_);
     for (size_t i = 0; i < n; ++i) {
-      if (delta_filter_.MightContain(keys[i])) {
-        auto it = delta_.find(LookupKey(keys[i]));
-        if (it != delta_.end()) {
-          out[i] = it->second.inserted ? 1 : 0;
-          positives += out[i];
-          continue;
-        }
+      if (const std::optional<bool> state = delta_.Find(keys[i])) {
+        out[i] = *state ? 1 : 0;
+        positives += out[i];
+        continue;
       }
       scratch.unresolved.push_back(keys[i]);
       scratch.origin.push_back(static_cast<uint32_t>(i));
@@ -303,11 +224,7 @@ size_t DynamicShardedHabf::MemoryUsageBytes() const {
     total += snap.filter->MemoryUsageBytes();
   }
   ReaderLock lock(delta_mutex_);
-  total += delta_filter_.MemoryUsageBytes();
-  for (const auto& [key, entry] : delta_) {
-    total += key.size() + sizeof(entry);
-  }
-  return total;
+  return total + delta_.MemoryUsageBytes();
 }
 
 size_t DynamicShardedHabf::delta_size() const {
@@ -370,10 +287,10 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
       rebuilds.emplace_back();
       rebuilds.back().shard = s;
     }
-    for (const auto& [key, entry] : delta_) {
-      const size_t idx = rebuild_index[entry.shard];
+    for (const DeltaTable::Entry entry : delta_) {
+      const size_t idx = rebuild_index[ShardOf(entry.key)];
       if (idx != SIZE_MAX) {
-        rebuilds[idx].entries.emplace_back(key, entry.inserted);
+        rebuilds[idx].entries.emplace_back(entry.key, entry.inserted);
       }
     }
   }
@@ -450,10 +367,6 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
     }
   }
   ShardedFilter<Habf> next(std::move(shards), salt_, directory_);
-  if (dynamic_options_.query_pool != nullptr) {
-    next.SetQueryPool(dynamic_options_.query_pool,
-                      dynamic_options_.query_pool_threshold);
-  }
 
   // --- Phase 3: publish, then drain, inside ONE writer critical section.
   // Ordering is the zero-false-negative crux: once a captured entry leaves
@@ -467,23 +380,18 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
     WriterLock lock(delta_mutex_);
     report.published_version = base_.Publish(std::move(next));
     for (ShardRebuild& rb : rebuilds) {
-      for (const auto& [key, inserted] : rb.entries) {
-        auto it = delta_.find(key);
-        if (it != delta_.end() && it->second.inserted == inserted) {
-          delta_.erase(it);
-          delta_filter_.Remove(key);
-          assert(dirty_[rb.shard] > 0);
-          --dirty_[rb.shard];
-          ++drained;
-        }
-      }
+      const size_t dropped = delta_.Drop(rb.entries);
+      assert(dirty_[rb.shard] >= dropped);
+      dirty_[rb.shard] -= dropped;
+      drained += dropped;
       shard_keys_[rb.shard] = std::move(rb.new_keys);
     }
+    // One rebuild from the survivors, so the index needs no deleted-slot
+    // markers.
+    delta_.Sweep();
     ++stats_.compactions;
     stats_.shards_rebuilt += rebuilds.size();
     stats_.keys_drained += drained;
-    // The drain may have left an oversized counting-bloom front behind.
-    MaybeRotateFrontLocked();
   }
 
   report.shards_rebuilt = rebuilds.size();
@@ -561,12 +469,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
       return false;
     }
     last_seq = wal_->last_enqueued_seq();
-    BinaryWriter writer(&delta_payload);
-    writer.WriteU64(delta_.size());
-    for (const auto& [key, entry] : delta_) {
-      writer.WriteBytes(key);
-      writer.WriteU8(entry.inserted ? 1 : 0);
-    }
+    delta_.AppendPayload(&delta_payload);
   }
 
   // --- Phase B: serialize the rest outside the delta lock. The base and
@@ -661,19 +564,11 @@ DynamicShardedHabf::DynamicShardedHabf(RecoveredState state,
       dynamic_options_(ValidateDynamicOptions(dynamic)),
       shard_keys_(std::move(state.shard_keys)),
       shard_negatives_(std::move(state.shard_negatives)),
-      delta_filter_(dynamic_options_.delta_counters,
-                    dynamic_options_.delta_hashes,
-                    Fmix64(state.base_options.seed ^ kDeltaSeedTag)),
       compaction_pool_(
           ComputeCompactionThreads(dynamic_options_, state.num_shards)) {
   dirty_.assign(num_shards_, 0);
   compaction_epoch_ = state.compaction_epoch;
-  ShardedFilter<Habf> filter = std::move(*state.base);
-  if (dynamic_options_.query_pool != nullptr) {
-    filter.SetQueryPool(dynamic_options_.query_pool,
-                        dynamic_options_.query_pool_threshold);
-  }
-  base_.Publish(std::move(filter));
+  base_.Publish(std::move(*state.base));
 }
 
 bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
@@ -813,22 +708,12 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
 
   const auto delta_payload = section(kDynamicDeltaTag, "DELT");
   if (!delta_payload.has_value()) return false;
-  {
-    BinaryReader reader(*delta_payload);
-    const uint64_t count = reader.ReadU64();
-    bool ok = reader.ok() && count <= reader.remaining() / 9;
-    if (ok) out->delta.reserve(count);
-    for (uint64_t i = 0; ok && i < count; ++i) {
-      std::string key = reader.ReadBytes();
-      const uint8_t inserted = reader.ReadU8();
-      ok = reader.ok() && inserted <= 1;
-      if (ok) out->delta.emplace_back(std::move(key), inserted != 0);
-    }
-    if (!ok || reader.remaining() != 0) {
-      if (error != nullptr) *error = "checkpoint section DELT is malformed";
-      return false;
-    }
+  std::optional<DeltaTable> delta = DeltaTable::ParsePayload(*delta_payload);
+  if (!delta.has_value()) {
+    if (error != nullptr) *error = "checkpoint section DELT is malformed";
+    return false;
   }
+  out->delta = std::move(*delta);
   return true;
 }
 
@@ -863,7 +748,7 @@ std::unique_ptr<DynamicShardedHabf> DynamicShardedHabf::Open(
   // Pull what the constructor does not consume out of `state` before the
   // move: the resident delta and the WAL tail are applied below under a
   // real writer lock (the analysis-checked path), not inside the ctor.
-  std::vector<std::pair<std::string, bool>> resident = std::move(state.delta);
+  DeltaTable resident = std::move(state.delta);
   const uint64_t next_epoch =
       std::max(replay.max_epoch, state.replay_epoch) + 1;
   const uint64_t next_seq = std::max(replay.max_seq, state.last_seq) + 1;
@@ -872,8 +757,9 @@ std::unique_ptr<DynamicShardedHabf> DynamicShardedHabf::Open(
       new DynamicShardedHabf(std::move(state), dynamic));
   {
     WriterLock lock(filter->delta_mutex_);
-    for (const auto& [key, inserted] : resident) {
-      filter->ApplyMutationLocked(key, inserted, /*count_stats=*/false);
+    filter->delta_ = std::move(resident);
+    for (const DeltaTable::Entry entry : filter->delta_) {
+      ++filter->dirty_[filter->ShardOf(entry.key)];
     }
     // Replay is already in seq order and last-wins idempotent on top of
     // the snapshot's resident delta.

@@ -4,11 +4,10 @@
 // (LSM engines — the memtable→run merge discipline of src/sim/lsm).
 //
 // Layering, youngest tier first (the vinyl/LevelDB memtable shape):
-//   * delta  — an exact table of every key mutated since the last
-//     compaction of its shard (inserted keys and deletion tombstones),
-//     fronted by a CountingBloomFilter over the mutated keys so the common
-//     case — a key nobody has touched — costs one bloom probe before
-//     falling through to the base;
+//   * delta  — one flat exact table (DeltaTable, core/member_set.h) of
+//     every key mutated since the last compaction of its shard: inserted
+//     keys and deletion tombstones. A key nobody has touched costs one
+//     hash and a short probe run, and nothing while the table is empty;
 //   * base   — the usual immutable ShardedFilter<Habf>, served through a
 //     FilterStore so compaction can hot-swap it under live readers.
 //
@@ -16,9 +15,7 @@
 // delta (exact — zero false negatives); a deleted key is masked by its
 // exact tombstone (false, never a false negative for anyone else, so
 // HABF's one-sided error is preserved); an untouched key falls through to
-// the base snapshot. The counting-bloom front can only send extra keys to
-// the exact table (false positives), never hide a mutated key, so it is
-// pure fast path.
+// the base snapshot.
 //
 // Compaction rebuilds **only the dirty shards** — those whose mutated-key
 // fraction exceeds DynamicOptions::dirty_fraction_threshold — through the
@@ -42,11 +39,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "bloom/counting_bloom.h"
 #include "core/delta_wal.h"
 #include "core/filter_store.h"
 #include "core/member_set.h"
@@ -77,20 +72,9 @@ struct DynamicOptions {
   /// A shard is compacted when mutated_keys / max(1, shard_keys) exceeds
   /// this. 0.0 means "any mutation makes the shard dirty".
   double dirty_fraction_threshold = 0.05;
-  /// Counting-bloom front sizing. Undersizing is safe — saturated counters
-  /// degrade the fast path toward "always consult the exact table", never
-  /// correctness — but ~8 counters per expected resident delta key keeps
-  /// the untouched-key path at one bloom probe.
-  size_t delta_counters = size_t{1} << 16;
-  size_t delta_hashes = 4;
   /// Workers for the per-dirty-shard rebuild fan-out; 0 = one per hardware
   /// thread, capped at the shard count.
   size_t compaction_threads = 0;
-  /// Optional pooled query fan-out applied to every published base filter
-  /// (initial build included), i.e. ShardedFilter::SetQueryPool. The pool
-  /// must outlive this DynamicShardedHabf.
-  ThreadPool* query_pool = nullptr;
-  size_t query_pool_threshold = kDefaultParallelQueryThreshold;
 };
 
 /// What one compaction pass did (returned by CompactDirtyShards and
@@ -117,7 +101,9 @@ struct DynamicStats {
   uint64_t compactions = 0;       // passes that rebuilt at least one shard
   uint64_t shards_rebuilt = 0;    // total across all compactions
   uint64_t keys_drained = 0;      // total delta entries folded into bases
-  uint64_t front_rotations = 0;   // counting-bloom front resizes (grow+shrink)
+  // Always 0: the delta has no Bloom front to resize any more. Kept so
+  // readers of the field (perfbench reports it) still compile.
+  uint64_t front_rotations = 0;
   uint64_t checkpoints = 0;       // durable snapshots written
   // Phase split of the Open() that recovered this filter (all 0 for a
   // filter that was built, not recovered). They sum to at most Open's wall
@@ -160,7 +146,7 @@ class DynamicShardedHabf {
   /// Builds the initial base with BuildShardedHabf(options, sharding) and
   /// takes ownership of the authoritative key sets. Throws
   /// std::invalid_argument if dynamic.dirty_fraction_threshold is not a
-  /// finite value >= 0 or the delta sizing is zero.
+  /// finite value >= 0.
   DynamicShardedHabf(std::vector<std::string> positives,
                      std::vector<WeightedKey> negatives,
                      const HabfOptions& options,
@@ -209,8 +195,8 @@ class DynamicShardedHabf {
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const
       HABF_EXCLUDES(delta_mutex_);
 
-  /// Resident bytes: current base snapshot + counting-bloom front + exact
-  /// delta table (entries + key payload). The authoritative key sets are
+  /// Resident bytes: current base snapshot + the delta table (blob and
+  /// index). The authoritative key sets are
   /// deliberately excluded — they are the data the filter summarizes, not
   /// the filter.
   size_t MemoryUsageBytes() const HABF_EXCLUDES(delta_mutex_);
@@ -310,21 +296,6 @@ class DynamicShardedHabf {
   DynamicStats stats() const HABF_EXCLUDES(delta_mutex_);
 
  private:
-  /// Exact state of a mutated key: inserted (member) or tombstoned
-  /// (non-member), plus the shard it routes to.
-  struct DeltaEntry {
-    uint32_t shard = 0;
-    bool inserted = false;
-  };
-
-  /// One dirty shard's captured work: the keys and their states as of the
-  /// capture, used both to build the new shard and to drain precisely those
-  /// entries whose state did not change while the build ran.
-  struct CapturedShard {
-    size_t shard = 0;
-    std::vector<std::pair<std::string, bool>> entries;  // (key, inserted)
-  };
-
   /// Checkpoint-parsed state, handed to the recovery constructor. The base
   /// rides in an optional because ShardedFilter has no default constructor.
   struct RecoveredState {
@@ -340,7 +311,7 @@ class DynamicShardedHabf {
     std::vector<MemberSet> shard_keys;
     uint64_t members_ns = 0;  // time spent parsing KEYS
     std::vector<std::vector<WeightedKey>> shard_negatives;
-    std::vector<std::pair<std::string, bool>> delta;  // (key, inserted)
+    DeltaTable delta;
   };
 
   /// Recovery constructor: adopts checkpoint state instead of building.
@@ -354,7 +325,6 @@ class DynamicShardedHabf {
   static bool ParseSnapshotBytes(std::string_view bytes, RecoveredState* out,
                                  std::string* error);
 
-  size_t ShardOfLocked(std::string_view key) const;
   void NotifyCompactorIfDirtyLocked(size_t shard)
       HABF_REQUIRES(delta_mutex_) HABF_EXCLUDES(background_mutex_);
   void BackgroundLoop(std::chrono::milliseconds interval)
@@ -365,20 +335,12 @@ class DynamicShardedHabf {
   bool ApplyLogged(std::string_view key, bool inserted)
       HABF_EXCLUDES(delta_mutex_);
 
-  /// The shared mutation body: updates the exact table, the counting-bloom
-  /// front, the dirty counters and (when `count_stats`) the insert/remove
-  /// counters; returns the shard the key routes to. `count_stats` is false
+  /// The shared mutation body: updates the delta table, the dirty counters
+  /// and (when `count_stats`) the insert/remove counters; returns the shard
+  /// the key routes to. `count_stats` is false
   /// during recovery replay so recovered stats do not double-count.
   size_t ApplyMutationLocked(std::string_view key, bool inserted,
                              bool count_stats) HABF_REQUIRES(delta_mutex_);
-
-  /// Resizes the counting-bloom front when occupancy drifts out of band:
-  /// grows (doubling to >= 16 counters per resident key) once the delta
-  /// exceeds counters/8, shrinks back toward DynamicOptions::delta_counters
-  /// once it falls under counters/64. Re-adds every resident key to the new
-  /// front, so the no-false-negatives-over-the-delta invariant is preserved
-  /// across the swap.
-  void MaybeRotateFrontLocked() HABF_REQUIRES(delta_mutex_);
 
   /// The checkpoint body. Holding compaction_mutex_ throughout pins the
   /// base and the authoritative key sets (only the compactor replaces
@@ -427,18 +389,16 @@ class DynamicShardedHabf {
   std::vector<std::vector<WeightedKey>> shard_negatives_
       HABF_GUARDED_BY(delta_mutex_);
 
-  // The delta tier. delta_mutex_ guards delta_, delta_filter_, dirty_ and
-  // stats_; readers take it shared, mutations and the publish+drain step
-  // take it exclusive. The ACQUIRED_BEFORE edges encode the lock-order
+  // The delta tier. delta_mutex_ guards delta_, dirty_ and stats_; readers
+  // take it shared, mutations and the publish+drain step take it
+  // exclusive. The ACQUIRED_BEFORE edges encode the lock-order
   // table of DESIGN.md §9: the compactor acquires compaction_mutex_ →
   // delta writer lock; readers acquire delta → base pin (the §7 proof);
   // mutators acquire delta → background_mutex_ (the compactor kick).
   mutable SharedMutex delta_mutex_
       HABF_ACQUIRED_AFTER(compaction_mutex_)
       HABF_ACQUIRED_BEFORE(base_acquire_order_, background_mutex_);
-  std::unordered_map<std::string, DeltaEntry> delta_
-      HABF_GUARDED_BY(delta_mutex_);
-  CountingBloomFilter delta_filter_ HABF_GUARDED_BY(delta_mutex_);
+  DeltaTable delta_ HABF_GUARDED_BY(delta_mutex_);
   std::vector<size_t> dirty_ HABF_GUARDED_BY(delta_mutex_);
   DynamicStats stats_ HABF_GUARDED_BY(delta_mutex_);
 
@@ -449,7 +409,6 @@ class DynamicShardedHabf {
   // writer lock), while the fsync itself never stalls readers.
   std::string wal_dir_ HABF_GUARDED_BY(delta_mutex_);
   std::unique_ptr<DeltaWalWriter> wal_ HABF_GUARDED_BY(delta_mutex_);
-  uint64_t front_generation_ HABF_GUARDED_BY(delta_mutex_) = 0;
 
   // The immutable base, hot-swapped by compaction. Pinning a snapshot is a
   // lock-free atomic load; base_acquire_order_ is the annotation-only

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -83,10 +82,6 @@ inline size_t ShardOfKey(std::string_view key, uint64_t salt,
                              num_shards);
 }
 
-/// Default batch size above which a configured query pool kicks in (below
-/// it the task hand-off costs more than the per-shard group queries).
-constexpr size_t kDefaultParallelQueryThreshold = 4096;
-
 /// Splits `total_bits` across shards proportionally to `weights` (positive
 /// key counts) by largest-remainder apportionment, then rebalances so every
 /// shard gets at least `floor_bits` (the minimum Habf::ComputeSizing
@@ -146,35 +141,12 @@ class ShardedFilter {
             directory_.num_buckets() <= kMaxRoutingBuckets));
   }
 
-  // Moves transfer the query-pool configuration as plain values. They are
-  // NOT thread-safe against concurrent queries on the source (moving a
-  // filter out from under readers is a use-after-move bug regardless); the
-  // explicit definitions exist only because the atomic configuration
-  // members delete the implicit ones. Copying is deleted as before (the
-  // shard filters themselves need not be copyable).
+  // Movable, not copyable (the shard filters themselves need not be
+  // copyable). A move is not safe against concurrent queries on the source.
   ShardedFilter(const ShardedFilter&) = delete;
   ShardedFilter& operator=(const ShardedFilter&) = delete;
-  ShardedFilter(ShardedFilter&& other) noexcept
-      : shards_(std::move(other.shards_)),
-        salt_(other.salt_),
-        directory_(std::move(other.directory_)),
-        name_(std::move(other.name_)),
-        query_pool_(other.query_pool_.load(std::memory_order_relaxed)),
-        parallel_query_threshold_(
-            other.parallel_query_threshold_.load(std::memory_order_relaxed)) {}
-  ShardedFilter& operator=(ShardedFilter&& other) noexcept {
-    if (this == &other) return *this;
-    shards_ = std::move(other.shards_);
-    salt_ = other.salt_;
-    directory_ = std::move(other.directory_);
-    name_ = std::move(other.name_);
-    query_pool_.store(other.query_pool_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    parallel_query_threshold_.store(
-        other.parallel_query_threshold_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    return *this;
-  }
+  ShardedFilter(ShardedFilter&&) = default;
+  ShardedFilter& operator=(ShardedFilter&&) = default;
 
   size_t num_shards() const { return shards_.size(); }
   uint64_t salt() const { return salt_; }
@@ -198,39 +170,6 @@ class ShardedFilter {
     if (directory_.empty()) return ShardOfKey(key, salt_, shards_.size());
     return directory_.bucket_to_shard[RoutingBucketOfKey(
         key, salt_, directory_.num_buckets())];
-  }
-
-  /// Opt-in pooled query fan-out: batches of at least `min_parallel_keys`
-  /// run their per-shard group queries as tasks on `pool` (nullptr reverts
-  /// to the serial path). The per-shard output regions are disjoint, so the
-  /// only synchronization is the WaitAll barrier, and the answers are
-  /// bit-for-bit identical to the serial path. Sharing one pool between
-  /// concurrent readers is safe (each reader's barrier also drains the
-  /// other's tasks).
-  ///
-  /// Contract under concurrency: SetQueryPool may be called while other
-  /// threads are inside ContainsBatch — both fields are atomic, and each
-  /// batch uses the *pool pointer* it loaded at entry for its whole
-  /// grouping pass. The pool/threshold pair is not installed as one unit,
-  /// though: a batch racing the reconfiguration may combine the old pool
-  /// with the new threshold (or vice versa). Either combination only
-  /// decides parallel-vs-serial for that one batch — answers are
-  /// bit-for-bit identical on both paths. The previous pool must outlive
-  /// every batch that was already in flight when it was replaced, and the
-  /// new pool every batch started after; destroying a pool immediately
-  /// after SetQueryPool(nullptr) without a barrier is the caller's race
-  /// (tests/sharded_filter_test.cc,
-  /// SetQueryPoolToggledUnderConcurrentReaders).
-  void SetQueryPool(ThreadPool* pool,
-                    size_t min_parallel_keys = kDefaultParallelQueryThreshold) {
-    parallel_query_threshold_.store(
-        min_parallel_keys < 1 ? 1 : min_parallel_keys,
-        std::memory_order_relaxed);
-    query_pool_.store(pool, std::memory_order_release);
-  }
-
-  ThreadPool* query_pool() const {
-    return query_pool_.load(std::memory_order_acquire);
   }
 
   // --- Filter concept -----------------------------------------------------
@@ -273,47 +212,15 @@ class ShardedFilter {
       scratch.origin[slot] = static_cast<uint32_t>(i);
     }
 
-    // Pass 3: one native batch query per non-empty group — pooled fan-out
-    // for large batches when a query pool is configured (each task reads
-    // and writes a disjoint slice of the grouping scratch, so the WaitAll
-    // barrier is the only synchronization), serial otherwise.
-    // One atomic load per batch: a concurrent SetQueryPool cannot change
-    // this batch's pool mid-pass (see the SetQueryPool contract).
+    // Pass 3: one native batch query per non-empty group.
     size_t positives = 0;
-    ThreadPool* pool = query_pool_.load(std::memory_order_acquire);
-    if (pool != nullptr && pool->num_threads() > 0 &&
-        n >= parallel_query_threshold_.load(std::memory_order_relaxed)) {
-      std::fill(scratch.shard_positives.begin(),
-                scratch.shard_positives.end(), size_t{0});
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        const size_t begin = scratch.offsets[s];
-        const size_t count = scratch.offsets[s + 1] - begin;
-        if (count == 0) continue;
-        // Capture raw pointers into *this caller's* scratch: naming the
-        // thread_local inside the lambda would silently re-resolve it to
-        // the worker's own (empty) instance instead.
-        const std::string_view* group_keys = scratch.grouped.data() + begin;
-        uint8_t* group_out = scratch.grouped_out.data() + begin;
-        size_t* group_positives = &scratch.shard_positives[s];
-        pool->Submit([this, s, group_keys, group_out, group_positives,
-                      count] {
-          *group_positives =
-              QueryBatch(shards_[s], KeySpan(group_keys, count), group_out);
-        });
-      }
-      pool->WaitAll();
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        positives += scratch.shard_positives[s];
-      }
-    } else {
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        const size_t begin = scratch.offsets[s];
-        const size_t count = scratch.offsets[s + 1] - begin;
-        if (count == 0) continue;
-        positives += QueryBatch(shards_[s],
-                                KeySpan(scratch.grouped.data() + begin, count),
-                                scratch.grouped_out.data() + begin);
-      }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const size_t begin = scratch.offsets[s];
+      const size_t count = scratch.offsets[s + 1] - begin;
+      if (count == 0) continue;
+      positives += QueryBatch(shards_[s],
+                              KeySpan(scratch.grouped.data() + begin, count),
+                              scratch.grouped_out.data() + begin);
     }
     for (size_t i = 0; i < n; ++i) {
       out[scratch.origin[i]] = scratch.grouped_out[i];
@@ -493,9 +400,6 @@ class ShardedFilter {
     std::vector<size_t> cursor;
     std::vector<std::string_view> grouped;
     std::vector<uint8_t> grouped_out;
-    /// Per-shard positive counts of the pooled fan-out (each task writes
-    /// its own slot; summed after the barrier).
-    std::vector<size_t> shard_positives;
 
     void Resize(size_t num_keys, size_t num_shards) {
       if (shard_of.size() < num_keys) {
@@ -507,7 +411,6 @@ class ShardedFilter {
       if (offsets.size() < num_shards + 1) {
         offsets.resize(num_shards + 1);
         cursor.resize(num_shards);
-        shard_positives.resize(num_shards);
       }
     }
   };
@@ -517,11 +420,6 @@ class ShardedFilter {
   /// Two-choice bucket→shard table; empty = uniform hash routing.
   RoutingDirectory directory_;
   std::string name_;
-  /// Pooled fan-out configuration (SetQueryPool); nullptr = serial pass 3.
-  /// Atomic so SetQueryPool is safe against in-flight ContainsBatch calls.
-  std::atomic<ThreadPool*> query_pool_{nullptr};
-  std::atomic<size_t> parallel_query_threshold_{
-      kDefaultParallelQueryThreshold};
 };
 
 /// Hash-partitions the build sets and runs one TPJO build per shard on a

@@ -25,7 +25,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "util/serde.h"
-#include "util/thread_pool.h"
 #include "workload/dataset.h"
 
 namespace habf {
@@ -41,7 +40,6 @@ constexpr char kUsage[] =
     "           [--routing uniform|two-choice] [--routing-buckets B]\n"
     "           (--wal-dir writes a durable dynamic filter for serve)\n"
     "  query    --filter FILTER (--key KEY ... | --keys FILE)\n"
-    "           [--parallel-batch] [--threads T]\n"
     "  stats    (--filter FILTER | --port P [--host H])\n"
     "           (--port queries a running habf_server's counters over the\n"
     "            wire via the HNP1 Stats op; default host 127.0.0.1)\n"
@@ -71,8 +69,13 @@ struct Flags {
   bool Has(const std::string& name) const { return values.count(name) > 0; }
 };
 
+/// Parses `--name value` pairs. A name `command` does not take is refused
+/// by name before its value is looked for, so a stale bare flag reads as
+/// unknown, not as a flag missing its value.
 std::optional<Flags> ParseFlags(const std::vector<std::string>& args,
-                                size_t start, std::string* err) {
+                                size_t start, const std::string& command,
+                                const std::set<std::string>& known,
+                                std::string* err) {
   Flags flags;
   for (size_t i = start; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -81,7 +84,11 @@ std::optional<Flags> ParseFlags(const std::vector<std::string>& args,
       return std::nullopt;
     }
     const std::string name = arg.substr(2);
-    if (name == "fast" || name == "parallel-batch") {
+    if (known.count(name) == 0) {
+      *err += "unknown flag --" + name + " for " + command + "\n";
+      return std::nullopt;
+    }
+    if (name == "fast") {
       flags.values[name].push_back("1");
       continue;
     }
@@ -426,44 +433,10 @@ int CmdQuery(const Flags& flags, std::string* out, std::string* err) {
     return 1;
   }
 
-  std::vector<uint8_t> answers(keys.size());
-  if (flags.Has("parallel-batch")) {
-    // Batched query; a sharded filter additionally fans its per-shard
-    // groups out to a worker pool. Answers are bit-for-bit identical to
-    // the per-key path (tests assert this), just faster on large inputs.
-    size_t threads = 0;
-    if (const std::string* v = flags.GetOne("threads")) {
-      if (!ParseSize(*v, &threads)) {
-        *err += BadFlag("threads", *v,
-                        "expected a non-negative integer (0 = hardware)");
-        return 1;
-      }
-    }
-    if (threads == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      threads = hw == 0 ? 1 : hw;
-    }
-    const std::vector<std::string_view> views = MakeKeyViews(keys);
-    if (filter->sharded.has_value()) {
-      ThreadPool pool(threads <= 1 ? 0 : threads);
-      filter->sharded->SetQueryPool(&pool, /*min_parallel_keys=*/1);
-      filter->sharded->ContainsBatch(KeySpan(views.data(), views.size()),
-                                     answers.data());
-      filter->sharded->SetQueryPool(nullptr);
-    } else {
-      // An unsharded filter has no per-shard groups to fan out — batch it
-      // without spinning up workers that would never run a task.
-      filter->single->ContainsBatch(KeySpan(views.data(), views.size()),
-                                    answers.data());
-    }
-  } else {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      answers[i] = filter->MightContain(keys[i]) ? 1 : 0;
-    }
-  }
   for (size_t i = 0; i < keys.size(); ++i) {
     *out += keys[i];
-    *out += answers[i] ? "\tmaybe-in-set\n" : "\tnot-in-set\n";
+    *out += filter->MightContain(keys[i]) ? "\tmaybe-in-set\n"
+                                          : "\tnot-in-set\n";
   }
   return 0;
 }
@@ -947,7 +920,7 @@ const Command* FindCommand(const std::string& name) {
         "routing-buckets"}},
       {"query",
        CmdQuery,
-       {"filter", "key", "keys", "parallel-batch", "threads"}},
+       {"filter", "key", "keys"}},
       {"stats", CmdStats, {"filter", "port", "host"}},
       {"eval", CmdEval, {"filter", "negatives"}},
       {"inspect", CmdInspectFlags, {"snapshot"}},
@@ -983,17 +956,10 @@ int RunCli(const std::vector<std::string>& args, std::string* out,
     *err += kUsage;
     return 1;
   }
-  auto flags = ParseFlags(args, 1, err);
+  auto flags = ParseFlags(args, 1, name, command->flags, err);
   if (!flags.has_value()) {
     *err += kUsage;
     return 1;
-  }
-  for (const auto& flag : flags->values) {
-    if (command->flags.count(flag.first) == 0) {
-      *err += "unknown flag --" + flag.first + " for " + name + "\n";
-      *err += kUsage;
-      return 1;
-    }
   }
   return command->run(*flags, out, err);
 }

@@ -1,10 +1,12 @@
 #include "util/serde.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "hashing/crc32.h"
@@ -177,16 +179,34 @@ bool WriteFileBytesAtomic(const std::string& path, std::string_view data) {
 }
 
 bool ReadFileBytes(const std::string& path, std::string* out) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   out->clear();
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
+  // Size the buffer once from fstat (one byte over, so the read that sees
+  // EOF needs no growth), then read to EOF: a file that changes size while
+  // it is read still comes back whole, through the doubling below.
+  struct stat st;
+  size_t capacity = 1 << 16;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    capacity = static_cast<size_t>(st.st_size) + 1;
   }
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
+  out->resize(capacity);
+  size_t filled = 0;
+  bool ok = true;
+  for (;;) {
+    if (filled == out->size()) out->resize(2 * out->size());
+    const ssize_t n = ::read(fd, &(*out)[filled], out->size() - filled);
+    if (n > 0) {
+      filled += static_cast<size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ok = false;
+      break;
+    }
+  }
+  ::close(fd);
+  out->resize(ok ? filled : 0);
   return ok;
 }
 

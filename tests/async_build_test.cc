@@ -3,9 +3,9 @@
 // async-built filter is bit-for-bit identical to the synchronous build, the
 // cancellation matrix (cancel-before-start, cancel-mid-build,
 // cancel-after-completion), handle misuse (double TakeResult, moved-from
-// handles, destroy-without-wait), and the shared-pool interleaving of build
-// tasks with pooled ContainsBatch fan-out — the concurrency surface the TSan
-// job races.
+// handles, destroy-without-wait), and batched readers of a serving filter
+// during a rebuild on a shared pool — the concurrency surface the TSan job
+// races.
 
 #include "core/sharded_filter.h"
 
@@ -257,17 +257,16 @@ TEST(AsyncBuildTest, MovedFromHandleIsInertAndMoveAssignAbandons) {
   EXPECT_EQ(moved.TakeResult().num_shards(), 3u);
 }
 
-// The existing-gap satellite: batched queries fanning out on the SAME pool
-// an async rebuild is using. The pooled ContainsBatch barrier (WaitAll)
-// also drains rebuild tasks, so answers must stay bit-for-bit correct and
-// neither client may observe the other's state.
+// Batched queries on the serving filter while an async rebuild runs its
+// shard tasks on a shared pool: answers stay bit-for-bit those of before
+// the rebuild, and the rebuild is unaffected by the readers.
 TEST(AsyncBuildTest, PooledQueriesAndAsyncRebuildShareOnePoolSafely) {
   ThreadPool pool(3);
   auto serving = BuildShardedHabf(SharedData().positives,
                                   SharedData().negatives, BaseOptions(),
                                   Sharding(4, 2));
 
-  // Reference answers from the serial path, before the pool gets involved.
+  // Reference answers, before the rebuild starts.
   std::vector<std::string_view> mixed;
   for (size_t i = 0; i < 2000; ++i) {
     mixed.push_back(i % 2 == 0
@@ -279,15 +278,14 @@ TEST(AsyncBuildTest, PooledQueriesAndAsyncRebuildShareOnePoolSafely) {
       serving.ContainsBatch(KeySpan(mixed.data(), mixed.size()),
                             expected.data());
 
-  serving.SetQueryPool(&pool, /*min_parallel_keys=*/1);
   HabfOptions rebuild_options = BaseOptions();
   rebuild_options.seed = 99;  // the rebuild is a different filter
   BuildHandle handle =
       BuildShardedHabfAsync(SharedData().positives, SharedData().negatives,
                             rebuild_options, Sharding(6, 2), &pool);
 
-  // Hammer pooled batches from two reader threads while the rebuild's shard
-  // tasks interleave through the same queue.
+  // Hammer batches from two reader threads while the rebuild's shard tasks
+  // run on the pool.
   std::atomic<bool> mismatch{false};
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
@@ -305,7 +303,7 @@ TEST(AsyncBuildTest, PooledQueriesAndAsyncRebuildShareOnePoolSafely) {
   }
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(mismatch.load())
-      << "pooled batch answers corrupted by concurrent rebuild tasks";
+      << "batch answers corrupted by concurrent rebuild tasks";
 
   const auto rebuilt = handle.TakeResult();
   EXPECT_EQ(rebuilt.num_shards(), 6u);

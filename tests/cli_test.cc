@@ -152,6 +152,8 @@ TEST_F(CliTest, EveryCommandRejectsFlagsItDoesNotTake) {
         "--snapshot-format", "legacy"},
        "snapshot-format"},
       {{"query", "--filter", filter_path_, "--key", "k", "--fast"}, "fast"},
+      {{"query", "--filter", filter_path_, "--key", "k", "--parallel-batch"},
+       "parallel-batch"},
       {{"stats", "--filter", filter_path_, "--workers", "2"}, "workers"},
       {{"eval", "--filter", filter_path_, "--negatives", negatives_path_,
         "--bits-per-key", "10"},
@@ -273,14 +275,6 @@ TEST_F(CliTest, TwoChoiceRoutingBuildQueryStatsEvalPipeline) {
       << err_;
   EXPECT_EQ(out_.find("not-in-set"), std::string::npos)
       << "a positive key was rejected by the two-choice-routed filter";
-  const std::string per_key_out = out_;
-
-  // The pooled batch path must answer identically on the restored filter.
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys",
-                 positives_path_, "--parallel-batch", "--threads", "2"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, per_key_out);
 
   // Stats reports the routing-balance line for a SHR2 snapshot.
   ASSERT_EQ(Run({"stats", "--filter", filter_path_}), 0) << err_;
@@ -380,49 +374,6 @@ TEST_F(CliTest, BuildRejectsNonFiniteAndUnderflowingNumericFlags) {
                  filter_path_, "--bits-per-key", "1e19"}),
             1);
   EXPECT_NE(err_.find("bit budget too large"), std::string::npos) << err_;
-}
-
-TEST_F(CliTest, ParallelBatchQueryMatchesPerKeyQuery) {
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--out", filter_path_, "--shards", "4",
-                 "--threads", "2"}),
-            0)
-      << err_;
-  const std::string keys_path = dir_ + "/mixed_keys.txt";
-  std::string mixed;
-  for (int i = 0; i < 200; ++i) {
-    mixed += (i % 2 == 0 ? "member-" : "outsider-") + std::to_string(i) + "\n";
-  }
-  ASSERT_TRUE(WriteFileBytes(keys_path, mixed));
-
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path}), 0)
-      << err_;
-  const std::string per_key_out = out_;
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path,
-                 "--parallel-batch", "--threads", "3"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, per_key_out)
-      << "pooled fan-out must answer identically to the per-key path";
-
-  // The unsharded snapshot takes the plain batched path under the flag.
-  const std::string single_path = dir_ + "/single.habf";
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 single_path}),
-            0)
-      << err_;
-  ASSERT_EQ(Run({"query", "--filter", single_path, "--keys", keys_path}), 0)
-      << err_;
-  const std::string single_per_key = out_;
-  ASSERT_EQ(Run({"query", "--filter", single_path, "--keys", keys_path,
-                 "--parallel-batch"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, single_per_key);
-
-  EXPECT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path,
-                 "--parallel-batch", "--threads", "zap"}),
-            1);
 }
 
 TEST_F(CliTest, BuildWritesSnapshotAtomicallyWithNoTempLeftover) {

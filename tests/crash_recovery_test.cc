@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/delta_wal.h"
@@ -384,6 +385,51 @@ TEST_F(CrashRecoveryTest, MissingSnapshotFailsCleanly) {
   EXPECT_NE(error.find("snapshot"), std::string::npos) << error;
 }
 
+TEST_F(CrashRecoveryTest, CheckpointsOfOneStateEmitTheSameDeltaInOrder) {
+  DynamicShardedHabf filter(MakeKeys("base-", 400), {}, SmallOptions(),
+                            FourShards());
+  std::string error;
+  ASSERT_TRUE(filter.EnableDurability(dir_, &error)) << error;
+  // First-mutation order, with a re-mutated key that keeps its place.
+  filter.Insert("zeta");
+  filter.Remove("base-3");
+  filter.Insert("alpha");
+  filter.Insert(std::string("nul\0key", 7));
+  filter.Remove("zeta");
+  filter.Insert("mid");
+
+  const auto delta_section = [this]() -> std::string {
+    std::string bytes;
+    EXPECT_TRUE(ReadFileBytes(DynamicSnapshotPath(dir_), &bytes));
+    const std::optional<SectionReader> container = SectionReader::Parse(bytes);
+    EXPECT_TRUE(container.has_value());
+    if (!container.has_value()) return {};
+    const std::optional<std::string_view> delt =
+        container->Find(kDynamicDeltaTag);
+    EXPECT_TRUE(delt.has_value());
+    return delt.has_value() ? std::string(*delt) : std::string();
+  };
+  ASSERT_TRUE(filter.Checkpoint(&error)) << error;
+  const std::string first = delta_section();
+  ASSERT_TRUE(filter.Checkpoint(&error)) << error;
+  EXPECT_EQ(delta_section(), first);
+
+  std::string expected;
+  BinaryWriter writer(&expected);
+  writer.WriteU64(5);
+  for (const auto& [key, inserted] :
+       std::vector<std::pair<std::string, bool>>{
+           {"zeta", false},
+           {"base-3", false},
+           {"alpha", true},
+           {std::string("nul\0key", 7), true},
+           {"mid", true}}) {
+    writer.WriteBytes(key);
+    writer.WriteU8(inserted ? 1 : 0);
+  }
+  EXPECT_EQ(first, expected);
+}
+
 TEST_F(CrashRecoveryTest, CheckpointTrimsTheLog) {
   auto filter = MakeDurable(120);
   const uint64_t epoch_before = filter->wal_epoch();
@@ -401,26 +447,26 @@ TEST_F(CrashRecoveryTest, CheckpointTrimsTheLog) {
 }
 
 TEST_F(CrashRecoveryTest, FrontRotationGrowsAndShrinksWithTheDelta) {
-  DynamicOptions dynamic;
-  dynamic.delta_counters = 256;  // tiny on purpose: 32-key growth trigger
-  dynamic.delta_hashes = 3;
-  dynamic.dirty_fraction_threshold = 0.0;
+  // The delta table grows with its resident keys and gives the memory back
+  // when a compaction drains them.
   DynamicShardedHabf filter(MakeKeys("base-", 400), {}, SmallOptions(),
-                            FourShards(), dynamic);
+                            FourShards());
+  const size_t empty_bytes = filter.MemoryUsageBytes();
   for (size_t i = 0; i < 2000; ++i) {
     filter.Insert("grow-" + std::to_string(i));
   }
-  const DynamicStats grown = filter.stats();
-  EXPECT_GT(grown.front_rotations, 0u);
-  // Every resident key still answers true — the rotation re-added them all.
+  const size_t grown_bytes = filter.MemoryUsageBytes();
+  // At least each entry's DELT bytes: length prefix, key and state byte.
+  EXPECT_GE(grown_bytes, empty_bytes + 2000 * (8 + 6 + 1));
+  // Every resident key answers true through each growth of the index.
   for (size_t i = 0; i < 2000; ++i) {
     EXPECT_TRUE(filter.MightContain("grow-" + std::to_string(i))) << i;
   }
-  // Drain via compaction; the front shrinks back toward the floor.
+  // Drain via compaction; the table's memory goes with its entries.
   const CompactionReport report = filter.CompactDirtyShards();
   EXPECT_GT(report.keys_drained, 0u);
   EXPECT_EQ(filter.delta_size(), 0u);
-  EXPECT_GT(filter.stats().front_rotations, grown.front_rotations);
+  EXPECT_LT(filter.MemoryUsageBytes(), grown_bytes);
   for (size_t i = 0; i < 2000; ++i) {
     EXPECT_TRUE(filter.MightContain("grow-" + std::to_string(i))) << i;
   }

@@ -288,22 +288,14 @@ TEST(DynamicFilterTest, RejectsInvalidOptions) {
   EXPECT_THROW(DynamicShardedHabf(positives, {}, SmallOptions(), FourShards(),
                                   nan_threshold),
                std::invalid_argument);
-  DynamicOptions zero_counters;
-  zero_counters.delta_counters = 0;
-  EXPECT_THROW(DynamicShardedHabf(positives, {}, SmallOptions(), FourShards(),
-                                  zero_counters),
-               std::invalid_argument);
 }
 
 TEST(DynamicFilterTest, SaturatedTinyDeltaFrontStaysCorrect) {
-  // An absurdly undersized counting-bloom front saturates immediately; the
-  // contract says that only slows the fast path — never a wrong answer.
+  // Hundreds of inserts and tombstones on default options carry the delta
+  // table through several index sizes; every answer stays exact, and the
+  // compaction drains it to empty.
   const auto positives = MakeKeys("base-", 800);
-  DynamicOptions dynamic = EagerCompaction();
-  dynamic.delta_counters = 16;  // 8 bytes of front for hundreds of keys
-  dynamic.delta_hashes = 2;
-  DynamicShardedHabf filter(positives, {}, SmallOptions(), FourShards(),
-                            dynamic);
+  DynamicShardedHabf filter(positives, {}, SmallOptions(), FourShards());
   std::unordered_set<std::string> members(positives.begin(), positives.end());
   for (size_t i = 0; i < 300; ++i) {
     const std::string key = "sat-" + std::to_string(i);
@@ -387,16 +379,11 @@ TEST(DynamicFilterTest, ConcurrentReadersDuringCompactions) {
 }
 
 TEST(DynamicFilterTest, SharedQueryPoolDuringCompactions) {
-  // Pooled ContainsBatch fan-out on the published bases while compactions
-  // hot-swap them — the pool outlives the filter per the SetQueryPool
-  // contract (declared first, destroyed last).
-  ThreadPool pool(2);
+  // Large ContainsBatch calls on the published bases while compactions
+  // rebuild shards on the compaction pool and hot-swap them.
   const auto positives = MakeKeys("base-", 5000);
-  DynamicOptions dynamic = EagerCompaction();
-  dynamic.query_pool = &pool;
-  dynamic.query_pool_threshold = 1;  // every batch fans out
   DynamicShardedHabf filter(positives, {}, SmallOptions(), FourShards(),
-                            dynamic);
+                            EagerCompaction());
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::thread reader([&] {

@@ -1,7 +1,10 @@
-// The dynamic tier's flat member store (core/member_set.h) against a
-// std::unordered_set oracle: randomized rebuild sequences (inserts, removes,
-// re-inserts, the empty key, keys with NUL bytes, an emptied set), byte-exact
-// payload round trips, and hostile KEYS payloads that must be refused.
+// The dynamic tier's flat key stores (core/member_set.h) against standard
+// containers as oracles. MemberSet: randomized rebuild sequences (inserts,
+// removes, re-inserts, the empty key, keys with NUL bytes, an emptied set),
+// byte-exact payload round trips, and hostile KEYS payloads that must be
+// refused. DeltaTable: randomized upsert, flip, drain and iterate rounds
+// against an unordered_map<string, bool>, DELT round trips, and hostile
+// DELT payloads.
 
 #include "core/member_set.h"
 
@@ -11,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -232,6 +236,194 @@ TEST(MemberSetTest, ManyKeysStayFindableThroughIndexGrowth) {
     EXPECT_TRUE(set.Contains("grow-" + std::to_string(i))) << i;
     EXPECT_FALSE(set.Contains("miss-" + std::to_string(i))) << i;
   }
+}
+
+// --- DeltaTable ---------------------------------------------------------------
+
+/// The oracle of one DeltaTable: each key's state, plus the keys in
+/// first-upsert order (the table's iteration and DELT order).
+struct DeltaOracle {
+  std::unordered_map<std::string, bool> state;
+  std::vector<std::string> order;
+
+  void Upsert(const std::string& key, bool inserted) {
+    if (state.emplace(key, inserted).second) {
+      order.push_back(key);
+    } else {
+      state[key] = inserted;
+    }
+  }
+};
+
+std::string DeltaPayload(const DeltaTable& table) {
+  std::string out;
+  table.AppendPayload(&out);
+  return out;
+}
+
+void ExpectDeltaMatchesOracle(const DeltaTable& table,
+                              const DeltaOracle& oracle, uint64_t universe) {
+  ASSERT_EQ(table.size(), oracle.state.size());
+  EXPECT_EQ(table.empty(), oracle.state.empty());
+  size_t i = 0;
+  for (const DeltaTable::Entry entry : table) {
+    ASSERT_LT(i, oracle.order.size());
+    EXPECT_EQ(entry.key, oracle.order[i]) << "entry " << i;
+    EXPECT_EQ(entry.inserted, oracle.state.at(oracle.order[i])) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, oracle.order.size());
+  for (uint64_t k = 0; k < universe; ++k) {
+    const std::string key = UniverseKey(k);
+    const auto it = oracle.state.find(key);
+    const std::optional<bool> found = table.Find(key);
+    ASSERT_EQ(found.has_value(), it != oracle.state.end()) << k;
+    if (found.has_value()) {
+      EXPECT_EQ(*found, it->second) << k;
+    }
+  }
+  // The payload is the DELT layout, in order, and parses back to itself.
+  std::string expected;
+  BinaryWriter writer(&expected);
+  writer.WriteU64(oracle.order.size());
+  for (const std::string& key : oracle.order) {
+    writer.WriteBytes(key);
+    writer.WriteU8(oracle.state.at(key) ? 1 : 0);
+  }
+  const std::string payload = DeltaPayload(table);
+  EXPECT_EQ(payload, expected);
+  const std::optional<DeltaTable> parsed = DeltaTable::ParsePayload(payload);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(DeltaPayload(*parsed), payload);
+}
+
+TEST(DeltaTableTest, RandomizedRoundsMatchTheOracle) {
+  // Thousands of keys so the index doubles several times between drains.
+  constexpr uint64_t kUniverse = 5000;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Xoshiro256 rng(seed);
+    DeltaTable table;
+    DeltaOracle oracle;
+    ExpectDeltaMatchesOracle(table, oracle, 50);
+    for (int round = 0; round < 10; ++round) {
+      SCOPED_TRACE(round);
+      // Upserts: new keys and flips of resident ones, re-upserts included.
+      const uint64_t n = rng.NextBounded(round % 3 == 0 ? 3000 : 300);
+      for (uint64_t j = 0; j < n; ++j) {
+        const std::string key = UniverseKey(rng.NextBounded(kUniverse));
+        const bool inserted = rng.NextBounded(2) == 0;
+        const bool is_new = oracle.state.count(key) == 0;
+        EXPECT_EQ(table.Upsert(key, inserted), is_new) << key;
+        oracle.Upsert(key, inserted);
+      }
+      ExpectDeltaMatchesOracle(table, oracle, kUniverse);
+
+      // Drain: capture some entries, re-mutate some of them (and add new
+      // keys) as writers do while a rebuild runs, then drop the captured
+      // entries whose state did not change. The last round drains all.
+      const bool drain_all = round == 9;
+      Changes captured;
+      for (const DeltaTable::Entry entry : table) {
+        if (drain_all || rng.NextBounded(2) == 0) {
+          captured.emplace_back(std::string(entry.key), entry.inserted);
+        }
+      }
+      if (!drain_all) {
+        for (const auto& [key, inserted] : captured) {
+          if (rng.NextBounded(4) == 0) {
+            const bool next = rng.NextBounded(2) == 0;
+            table.Upsert(key, next);
+            oracle.Upsert(key, next);
+          }
+        }
+        for (int j = 0; j < 20; ++j) {
+          const std::string key = UniverseKey(rng.NextBounded(kUniverse));
+          table.Upsert(key, true);
+          oracle.Upsert(key, true);
+        }
+      }
+      size_t unchanged = 0;
+      for (const auto& [key, inserted] : captured) {
+        if (oracle.state.at(key) == inserted) {
+          oracle.state.erase(key);
+          ++unchanged;
+        }
+      }
+      std::vector<std::string> kept;
+      for (std::string& key : oracle.order) {
+        if (oracle.state.count(key) == 1) kept.push_back(std::move(key));
+      }
+      oracle.order = std::move(kept);
+      EXPECT_EQ(table.Drop(captured), unchanged);
+      table.Sweep();
+      ExpectDeltaMatchesOracle(table, oracle, kUniverse);
+    }
+    EXPECT_TRUE(table.empty());
+    EXPECT_EQ(table.MemoryUsageBytes(), 0u) << "a drained table keeps memory";
+    EXPECT_EQ(DeltaPayload(table), std::string(8, '\0'));
+  }
+}
+
+TEST(DeltaTableTest, UpsertFlipsInPlaceAndKeepsFirstOrder) {
+  DeltaTable table;
+  EXPECT_FALSE(table.Find("").has_value());
+  EXPECT_TRUE(table.Upsert("b", true));
+  EXPECT_TRUE(table.Upsert("", false));
+  EXPECT_TRUE(table.Upsert(std::string_view("a\0b", 3), true));
+  EXPECT_FALSE(table.Upsert("b", false));
+  EXPECT_FALSE(table.Upsert("", true));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Find("b"), std::optional<bool>(false));
+  EXPECT_EQ(table.Find(""), std::optional<bool>(true));
+  EXPECT_EQ(table.Find(std::string_view("a\0b", 3)), std::optional<bool>(true));
+  EXPECT_FALSE(table.Find("a").has_value());
+  std::string expected;
+  BinaryWriter writer(&expected);
+  writer.WriteU64(3);
+  writer.WriteBytes("b");
+  writer.WriteU8(0);
+  writer.WriteBytes("");
+  writer.WriteU8(1);
+  writer.WriteBytes(std::string_view("a\0b", 3));
+  writer.WriteU8(1);
+  EXPECT_EQ(DeltaPayload(table), expected);
+}
+
+TEST(DeltaTableTest, HostilePayloadsAreRefused) {
+  const auto entry = [](std::string_view key, uint8_t state) {
+    std::string out;
+    BinaryWriter(&out).WriteBytes(key);
+    BinaryWriter(&out).WriteU8(state);
+    return out;
+  };
+  const auto count_then = [](uint64_t count, const std::string& body) {
+    std::string out;
+    BinaryWriter(&out).WriteU64(count);
+    return out + body;
+  };
+  const auto refused = [](const std::string& bytes) {
+    return !DeltaTable::ParsePayload(bytes).has_value();
+  };
+  const std::string two = entry("aa", 1) + entry("", 0);
+  EXPECT_FALSE(refused(count_then(2, two)));
+  EXPECT_TRUE(refused(""));
+  EXPECT_TRUE(refused(std::string(7, '\0')));
+  EXPECT_TRUE(refused(count_then(~uint64_t{0}, two)));
+  EXPECT_TRUE(refused(count_then(3, two)));
+  EXPECT_TRUE(refused(count_then(1, two)));  // trailing bytes
+  EXPECT_TRUE(refused(count_then(1, entry("x", 2))));  // not a state
+  EXPECT_TRUE(refused(count_then(1, entry("x", 1).substr(0, 9))));  // no state
+  std::string huge;
+  BinaryWriter(&huge).WriteU64(~uint64_t{0} - 3);
+  huge += "abcd";
+  EXPECT_TRUE(refused(count_then(1, huge)));
+  // A repeated key takes its last state, as replaying the entries would.
+  const std::optional<DeltaTable> repeated =
+      DeltaTable::ParsePayload(count_then(2, entry("k", 1) + entry("k", 0)));
+  ASSERT_TRUE(repeated.has_value());
+  EXPECT_EQ(repeated->size(), 1u);
+  EXPECT_EQ(repeated->Find("k"), std::optional<bool>(false));
 }
 
 }  // namespace

@@ -68,6 +68,29 @@ TEST(FileBytes, RoundTripAndMissingFile) {
   EXPECT_FALSE(ReadFileBytes(path + ".does-not-exist", &read_back));
 }
 
+TEST(FileBytes, ReadsEverySizeAroundTheOldChunkWhole) {
+  const std::string path = ::testing::TempDir() + "/serde_read_sizes.bin";
+  for (const size_t size :
+       {size_t{0}, size_t{65535}, size_t{65536}, size_t{65537},
+        (size_t{1} << 20) + 11}) {
+    SCOPED_TRACE(size);
+    std::string payload(size, '\0');
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<char>((i * 131 + i / 251) & 0xFF);
+    }
+    ASSERT_TRUE(WriteFileBytes(path, payload));
+    std::string read_back = "stale contents";
+    ASSERT_TRUE(ReadFileBytes(path, &read_back));
+    EXPECT_TRUE(read_back == payload);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileBytes, DirectoryIsNotAFile) {
+  std::string read_back;
+  EXPECT_FALSE(ReadFileBytes(::testing::TempDir(), &read_back));
+}
+
 TEST(FileBytes, AtomicWriteRoundTripsAndLeavesNoTempFile) {
   const std::string dir =
       ::testing::TempDir() + "/serde_atomic_" +

@@ -21,7 +21,6 @@
 #include "core/filter_interface.h"
 #include "core/habf.h"
 #include "eval/metrics.h"
-#include "util/thread_pool.h"
 #include "workload/dataset.h"
 
 namespace habf {
@@ -292,84 +291,6 @@ TEST(ShardedFilterTest, MoreShardsThanPositiveKeys) {
   }
 }
 
-TEST(ShardedFilterTest, PooledBatchMatchesSerialBitForBit) {
-  auto filter = BuildSharded(5, 2);
-
-  // Serial answers over every adversarial batch plus one large batch.
-  std::vector<std::vector<std::string>> batches = AdversarialBatches();
-  std::vector<std::string> everything;
-  for (const auto& key : SharedData().positives) everything.push_back(key);
-  for (const auto& wk : SharedData().negatives) everything.push_back(wk.key);
-  batches.push_back(std::move(everything));
-
-  std::vector<std::vector<uint8_t>> serial_out;
-  std::vector<size_t> serial_positives;
-  for (const auto& batch : batches) {
-    std::vector<std::string_view> keys(batch.begin(), batch.end());
-    std::vector<uint8_t> out(batch.size());
-    serial_positives.push_back(
-        filter.ContainsBatch(KeySpan(keys.data(), keys.size()), out.data()));
-    serial_out.push_back(std::move(out));
-  }
-
-  // Pooled fan-out (threshold 1 so even tiny batches take the pooled path)
-  // must reproduce the serial answers bit for bit.
-  ThreadPool pool(4);
-  filter.SetQueryPool(&pool, /*min_parallel_keys=*/1);
-  for (size_t b = 0; b < batches.size(); ++b) {
-    std::vector<std::string_view> keys(batches[b].begin(), batches[b].end());
-    std::vector<uint8_t> out(batches[b].size() + 1, 0xAB);  // canary slot
-    const size_t positives =
-        filter.ContainsBatch(KeySpan(keys.data(), keys.size()), out.data());
-    EXPECT_EQ(positives, serial_positives[b]) << "batch " << b;
-    for (size_t i = 0; i < batches[b].size(); ++i) {
-      ASSERT_EQ(out[i], serial_out[b][i]) << "batch " << b << " key " << i;
-    }
-    EXPECT_EQ(out[batches[b].size()], 0xAB) << "wrote past the batch";
-  }
-  filter.SetQueryPool(nullptr);
-}
-
-TEST(ShardedFilterTest, PooledBatchConcurrentReadersShareOnePool) {
-  auto filter = BuildSharded(4, 2);
-  ThreadPool pool(3);
-  filter.SetQueryPool(&pool, /*min_parallel_keys=*/1);
-
-  std::vector<std::string_view> keys;
-  for (const auto& key : SharedData().positives) keys.push_back(key);
-  for (const auto& wk : SharedData().negatives) keys.push_back(wk.key);
-  std::vector<uint8_t> expected(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    expected[i] = filter.MightContain(keys[i]) ? 1 : 0;
-  }
-
-  constexpr size_t kThreads = 4;
-  constexpr int kRounds = 3;
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> readers;
-  for (size_t t = 0; t < kThreads; ++t) {
-    readers.emplace_back([&, t] {
-      const size_t batch_size = 97 + 13 * t;  // staggered block edges
-      std::vector<uint8_t> out(batch_size);
-      for (int round = 0; round < kRounds; ++round) {
-        for (size_t base = 0; base < keys.size(); base += batch_size) {
-          const size_t count = std::min(batch_size, keys.size() - base);
-          filter.ContainsBatch(KeySpan(keys.data() + base, count),
-                               out.data());
-          for (size_t i = 0; i < count; ++i) {
-            if (out[i] != expected[base + i]) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-      }
-    });
-  }
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  filter.SetQueryPool(nullptr);
-}
-
 TEST(ShardedFilterTest, SnapshotRoundTripPreservesEveryAnswer) {
   const auto original = BuildSharded(4, 2);
   std::string bytes;
@@ -505,54 +426,6 @@ TEST(ShardedFilterTest, ConcurrentReadersSeeConsistentAnswers) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
-TEST(ShardedFilterTest, SetQueryPoolToggledUnderConcurrentReaders) {
-  // The documented SetQueryPool contract: reconfiguring while batches are
-  // in flight is safe — each batch keeps the pool it loaded at entry and
-  // answers stay bit-for-bit correct whichever configuration it saw. TSan
-  // validates the atomicity; the assertions validate the answers.
-  auto filter = BuildSharded(4, 2);
-  ThreadPool pool(2);
-
-  std::vector<std::string_view> keys;
-  for (size_t i = 0; i < 1500; ++i) {
-    keys.push_back(i % 2 == 0
-                       ? std::string_view(SharedData().positives[i])
-                       : std::string_view(SharedData().negatives[i].key));
-  }
-  std::vector<uint8_t> expected(keys.size());
-  const size_t expected_positives =
-      filter.ContainsBatch(KeySpan(keys.data(), keys.size()),
-                           expected.data());
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
-      std::vector<uint8_t> out(keys.size());
-      while (!stop.load(std::memory_order_relaxed)) {
-        const size_t positives = filter.ContainsBatch(
-            KeySpan(keys.data(), keys.size()), out.data());
-        if (positives != expected_positives || out != expected) {
-          mismatch.store(true);
-          return;
-        }
-      }
-    });
-  }
-  // Toggle pooled fan-out on and off under the readers' feet. The pool
-  // outlives every in-flight batch (joined readers first), per contract.
-  for (int round = 0; round < 200 && !mismatch.load(); ++round) {
-    filter.SetQueryPool(round % 2 == 0 ? &pool : nullptr,
-                        /*min_parallel_keys=*/1);
-    std::this_thread::yield();
-  }
-  stop.store(true);
-  for (auto& reader : readers) reader.join();
-  EXPECT_FALSE(mismatch.load())
-      << "a batch observed a half-applied query-pool configuration";
-}
-
 // --- two-choice routing (DESIGN.md §6) --------------------------------------
 
 ShardedFilter<Habf> BuildTwoChoice(size_t shards, size_t threads) {
@@ -604,28 +477,6 @@ TEST(ShardedFilterTest, TwoChoiceDirectoryInvariantsOnBuiltFilter) {
               directory.bucket_to_shard[RoutingBucketOfKey(
                   key, filter.salt(), directory.num_buckets())]);
   }
-}
-
-TEST(ShardedFilterTest, TwoChoicePooledBatchMatchesSerialBitForBit) {
-  auto filter = BuildTwoChoice(5, 2);
-  std::vector<std::string> everything;
-  for (const auto& key : SharedData().positives) everything.push_back(key);
-  for (const auto& wk : SharedData().negatives) everything.push_back(wk.key);
-  std::vector<std::string_view> keys(everything.begin(), everything.end());
-
-  std::vector<uint8_t> serial_out(keys.size());
-  const size_t serial_positives = filter.ContainsBatch(
-      KeySpan(keys.data(), keys.size()), serial_out.data());
-
-  ThreadPool pool(4);
-  filter.SetQueryPool(&pool, /*min_parallel_keys=*/1);
-  std::vector<uint8_t> pooled_out(keys.size());
-  const size_t pooled_positives = filter.ContainsBatch(
-      KeySpan(keys.data(), keys.size()), pooled_out.data());
-  filter.SetQueryPool(nullptr);
-
-  EXPECT_EQ(pooled_positives, serial_positives);
-  EXPECT_EQ(pooled_out, serial_out);
 }
 
 TEST(ShardedFilterTest, TwoChoiceThreadCountDoesNotChangeTheFilter) {
@@ -732,16 +583,6 @@ TEST(ShardedFilterTest, MoveCarriesRoutingDirectory) {
   const ShardedFilter<Habf> moved = std::move(filter);
   EXPECT_EQ(moved.routing(), RoutingMode::kTwoChoice);
   EXPECT_EQ(moved.directory().bucket_to_shard, expected);
-  EXPECT_EQ(CountFalseNegatives(moved, SharedData().positives), 0u);
-}
-
-TEST(ShardedFilterTest, MoveCarriesQueryPoolConfiguration) {
-  ThreadPool pool(1);
-  auto filter = BuildSharded(3, 1);
-  filter.SetQueryPool(&pool, /*min_parallel_keys=*/17);
-  const ShardedFilter<Habf> moved = std::move(filter);
-  EXPECT_EQ(moved.query_pool(), &pool);
-  EXPECT_EQ(moved.num_shards(), 3u);
   EXPECT_EQ(CountFalseNegatives(moved, SharedData().positives), 0u);
 }
 
